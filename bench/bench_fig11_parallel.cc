@@ -1,10 +1,12 @@
 // Figure 11 reproduction: parallel scaling of Q4, Q6, Q13, Q14, Q22 on
 // 1, 2, 4, 8, 16 threads (the paper's query/thread grid).
 //
-// The generated code partitions scans, keeps per-thread hash-table lanes
-// and merges them (§4.5). NOTE: speedups require physical cores; on a
-// single-core container the curves are flat (threads time-slice one CPU),
-// which EXPERIMENTS.md discusses.
+// The generated code's threads claim spine-scan morsels from one shared
+// dispenser, sized as the service sizes it (CompiledQuery::MorselRows: at
+// most the default, and at least kMorselsPerLane morsels per thread), keep
+// per-thread hash-table lanes and merge them (§4.5). NOTE: speedups require
+// physical cores; on a single-core container the curves are flat (threads
+// time-slice one CPU), which EXPERIMENTS.md discusses.
 #include "bench_util.h"
 #include "compile/lb2_compiler.h"
 #include "tpch/queries.h"

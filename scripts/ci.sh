@@ -26,14 +26,18 @@
 #                            #   differential matrix ({data-centric,
 #                            #   vectorized, blended} x {1,4} threads vs two
 #                            #   oracles) plus the explorer/profiling suites
-#   scripts/ci.sh morsel     # TSan build, `ctest -L 'morsel|fuzz'` with
-#                            #   extended fuzz seeds: the switch-point sweep
-#                            #   (forced interpreted->compiled switch at
-#                            #   every morsel boundary vs two oracles), the
-#                            #   claim-bitmap exactly-once chaos matrix, and
-#                            #   the work-stealing stress, all under TSan —
-#                            #   two engines share one atomic dispenser, so
-#                            #   a claim race is exactly what TSan is for
+#   scripts/ci.sh morsel     # TSan build, `ctest -L 'morsel|fuzz|tpch'`
+#                            #   with extended fuzz seeds: the switch-point
+#                            #   sweep (forced interpreted->compiled switch
+#                            #   at every morsel boundary vs two oracles),
+#                            #   the claim-bitmap exactly-once chaos matrix,
+#                            #   the work-stealing stress, the DAG-shape
+#                            #   fuzzers, and all 22 TPC-H plans through a
+#                            #   default service with forced handoffs (the
+#                            #   scalar-subquery plans Q11/Q22 included),
+#                            #   all under TSan — two engines share one
+#                            #   atomic dispenser, so a claim race is
+#                            #   exactly what TSan is for
 #   scripts/ci.sh soak       # ~10s chaos soak: lb2_served armed with
 #                            #   LB2_FAULTS=chaos:<seed> + a tight admission
 #                            #   gate vs bench_net_load (8 procs x 4 conns,
@@ -167,13 +171,16 @@ tracing() {
 # (LB2_SWITCH_AT sweep) against the Volcano and pure-interpreted oracles,
 # chaos-schedules the handoff point across 64 seeds, and stresses work
 # stealing on skewed morsel costs; the fuzz label rides along because the
-# property suite exercises the same engines the dispenser interleaves.
+# property suite exercises the same engines the dispenser interleaves
+# (including DAG plans that share a subtree between the spine and a build
+# side or scalar subquery), and the tpch label runs every TPC-H plan
+# through a default service, forcing handoffs wherever a spine exists.
 morsel() {
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DLB2_SANITIZE=thread \
     >/dev/null
   cmake --build build-tsan -j"$(nproc)"
   with_cache_dir env CI_FUZZ_SEEDS="${CI_FUZZ_SEEDS:-64}" \
-    ctest --test-dir build-tsan -L 'morsel|fuzz' --output-on-failure \
+    ctest --test-dir build-tsan -L 'morsel|fuzz|tpch' --output-on-failure \
     -j"$(nproc)"
 }
 
@@ -348,10 +355,11 @@ EOF
 # Morsel perf gate: a cold request with the mid-query switch on (interp
 # serves off the shared dispenser while the JIT builds) must beat the
 # wait-for-cc cold path by >= 1.2x end to end; the same 8-thread artifact
-# run off the dispenser must beat its static per-thread split by >= 1.5x on
-# skewed morsel costs. The stealing gate is vacuous below 4 hardware
-# threads — parallel speedups don't exist on a 1-core runner — and the
-# bench JSON carries hardware_concurrency so the gate can tell.
+# run off small morsels must beat one morsel per thread (the static-split
+# baseline) by >= 1.5x on skewed morsel costs. The stealing gate is vacuous
+# below 4 hardware threads — parallel speedups don't exist on a 1-core
+# runner — and the bench JSON carries hardware_concurrency so the gate can
+# tell.
 bench_morsel() {
   cmake --build build -j"$(nproc)" --target bench_morsel
   LB2_SF="${LB2_SF:-0.01}" ./build/bench/bench_morsel > BENCH_morsel.json

@@ -18,6 +18,13 @@ CompiledQuery::RunResult CompiledQuery::Run(
 
 CompiledQuery::RunResult CompiledQuery::Run(
     const plan::ParamVec* params, stage::MorselSource* morsels) const {
+  // Spine scans always claim from a dispenser: the caller's, or a fresh
+  // default one. A zero-size morsel would never advance the claim loop.
+  stage::MorselSource fresh;
+  fresh.morsel_rows = MorselRows(engine::kDefaultMorselRows);
+  if (morsels == nullptr) morsels = &fresh;
+  LB2_CHECK_MSG(morsels->morsel_rows > 0,
+                "morsel dispenser needs morsel_rows > 0");
   stage::QueryOut out;
   // A private zeroed context per call: the fixed four-pointer header up
   // front, the module's scratch fields after it. This is what makes
@@ -102,6 +109,7 @@ StagedQuery StageQuery(const plan::Query& q, const rt::Database& db,
   }
   out.source = ctx.module().Emit();
   out.codegen_ms = staging_timer.ElapsedMs();
+  out.morsel_cap = engine::LaneMorselCap(q, db, opts.num_threads);
   // Reentrancy invariant: all mutable state lives on lb2_exec_ctx.
   std::string leaked = stage::FindMutableFileScopeState(out.source);
   LB2_CHECK_MSG(leaked.empty(),
@@ -119,6 +127,7 @@ std::unique_ptr<CompiledQuery> CompiledQuery::FromModule(
   cq->ctx_bytes_ = cq->mod_->ctx_bytes();
   cq->env_ = staged.env.Materialize(db);
   cq->codegen_ms_ = staged.codegen_ms;
+  cq->morsel_cap_ = staged.morsel_cap;
   // Parameter-slot count: always exported by freshly-staged modules; the
   // tolerant lookup keeps template-compiled and older artifacts (which
   // never hoist literals) working with an implicit count of zero.

@@ -5,6 +5,8 @@
 #ifndef LB2_COMPILE_LB2_COMPILER_H_
 #define LB2_COMPILE_LB2_COMPILER_H_
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,6 +36,9 @@ struct StagedQuery {
   /// EngineOptions::profile is on (empty otherwise). Pairs with the
   /// lb2_prof counters the generated module exports.
   std::vector<engine::ProfOpMeta> prof_nodes;
+  /// engine::LaneMorselCap of the staged plan at its thread count: the
+  /// largest morsel size that still spreads its spine over every lane.
+  int64_t morsel_cap = std::numeric_limits<int64_t>::max();
 };
 
 /// Stages and emits `q` against `db` (first Futamura projection only).
@@ -67,18 +72,26 @@ class CompiledQuery {
   /// Runs the compiled query. `params` binds values for the plan's
   /// canonicalized constant leaves; its size must be at least param_count()
   /// (nullptr is fine when param_count() == 0). The vector — including its
-  /// string payloads — only needs to outlive this call.
+  /// string payloads — only needs to outlive this call. The spine claims
+  /// its row ranges from a fresh dispenser of
+  /// MorselRows(engine::kDefaultMorselRows) rows.
   RunResult Run(const plan::ParamVec* params = nullptr) const;
 
-  /// Morsel-driven run: binds the shared dispenser into the execution
-  /// context header, so the generated pipeline claims row ranges from
-  /// `morsels` instead of its static split — and folds any seed rows an
-  /// interpreted prefix exported into its sink before claiming (the
-  /// mid-query switch; see engine/morsel.h). The dispenser's cursor is
+  /// Run off a caller-supplied dispenser (morsel_rows > 0, checked): the
+  /// generated spine claims row ranges from `morsels` — and folds any seed
+  /// rows an interpreted prefix exported into its sink before claiming
+  /// (the mid-query switch; see engine/morsel.h). The dispenser's cursor is
   /// consumed where it stands: it is never reset here. Null behaves exactly
   /// like the plain Run().
   RunResult Run(const plan::ParamVec* params,
                 stage::MorselSource* morsels) const;
+
+  /// Morsel size for a fresh dispenser serving this query: `max_rows`,
+  /// shrunk on a parallel build so that its spine spreads over every lane
+  /// (engine::LaneMorselCap).
+  int64_t MorselRows(int64_t max_rows) const {
+    return std::min(max_rows, morsel_cap_);
+  }
 
   /// Number of parameter slots the generated code reads (the module's
   /// `lb2_param_count` export; 0 for non-parameterized plans).
@@ -127,6 +140,7 @@ class CompiledQuery {
   std::vector<void*> env_;
   int64_t ctx_bytes_ = 0;
   int64_t param_count_ = 0;
+  int64_t morsel_cap_ = std::numeric_limits<int64_t>::max();
   double codegen_ms_ = 0.0;
   // Profiling exports (0/empty when compiled without profiling).
   int64_t prof_count_ = 0;

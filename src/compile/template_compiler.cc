@@ -173,7 +173,7 @@ class TemplateGen {
     // either per-call locals or reached through the execution context. The
     // template path needs no scratch fields beyond the fixed header. The
     // morsels pointer is part of that header (the host Run() always fills
-    // it); template code never reads it and runs its static loops.
+    // it); template code never reads it and runs plain sequential loops.
     src += "typedef struct {\n  void** env;\n  lb2_out* out;\n"
            "  const lb2_param* params;\n  lb2_morsel_source* morsels;\n"
            "} lb2_exec_ctx;\n";

@@ -1,5 +1,7 @@
 #include "engine/exec.h"
 
+#include <algorithm>
+
 #include "engine/interp_backend.h"
 #include "plan/validate.h"
 
@@ -9,13 +11,17 @@ InterpResult ExecuteInterp(const plan::Query& q, const rt::Database& db,
                            const EngineOptions& opts,
                            const plan::ParamVec* params, MorselRun* morsels) {
   plan::ValidateQuery(q, db);
+  MorselRun fresh(std::min(kDefaultMorselRows,
+                           LaneMorselCap(q, db, opts.num_threads)));
+  if (morsels == nullptr) morsels = &fresh;
+  LB2_CHECK_MSG(morsels->source.morsel_rows > 0,
+                "morsel dispenser needs morsel_rows > 0");
   InterpBackend b(&db);
   b.set_params(params);
   b.set_morsels(morsels);
   QueryCtx<InterpBackend> qctx;
   qctx.b = &b;
   qctx.db = &db;
-  qctx.morsels = morsels;
   qctx.copts.use_dict = opts.use_dict;
   InterpResult r;
   if (opts.profile) qctx.prof = &r.prof_nodes;
@@ -39,9 +45,9 @@ int CountVecSites(const plan::Query& q, const rt::Database& db,
   // the data-centric flavor, which numbers all sites without fusing any.
   qctx.flavor = Flavor::kDataCentric;
   for (const auto& sub : q.scalar_subqueries) {
-    (void)BuildOp(&qctx, sub);
+    (void)BuildOp(&qctx, sub, /*spine=*/false);
   }
-  (void)BuildOp(&qctx, q.root);
+  (void)BuildOp(&qctx, q.root, /*spine=*/false);
   return qctx.vec_sites;
 }
 

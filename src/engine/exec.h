@@ -49,17 +49,25 @@ template <typename B>
 DictVec OutputDicts(QueryCtx<B>* ctx, const plan::PlanRef& p);
 
 template <typename B>
-OpPtr<B> BuildOp(QueryCtx<B>* ctx, const plan::PlanRef& p);
+OpPtr<B> BuildOp(QueryCtx<B>* ctx, const plan::PlanRef& p, bool spine);
 
 /// Builds the operator tree for `p`. Honors JoinImpl flags (index joins).
+/// `spine` marks this occurrence of `p` as part of the query's spine
+/// (engine/parallel.h): it is passed on to SpineChild(*p) only — the input
+/// of a unary operator, the probe side of a join, never a build side — so a
+/// subtree shared between the two is built once per occurrence, each with
+/// its own role.
 template <typename B>
-OpPtr<B> BuildOpNode(QueryCtx<B>* ctx, const plan::PlanRef& p) {
+OpPtr<B> BuildOpNode(QueryCtx<B>* ctx, const plan::PlanRef& p, bool spine) {
   using plan::OpType;
   const rt::Database& db = *ctx->db;
   schema::Schema out = plan::OutputSchema(p, db);
 
-  // Dictionary propagation for this node's output.
-  auto child_op = [&](int i) { return BuildOp<B>(ctx, p->children[i]); };
+  // Child i inherits the on-spine flag only if it is the SpineChild.
+  auto child_op = [&](int i) {
+    return BuildOp<B>(ctx, p->children[static_cast<size_t>(i)],
+                      spine && i == SpineChild(*p));
+  };
 
   switch (p->type) {
     case OpType::kScan: {
@@ -70,7 +78,7 @@ OpPtr<B> BuildOpNode(QueryCtx<B>* ctx, const plan::PlanRef& p) {
         dicts.push_back(ctx->copts.use_dict && c.has_dict() ? c.dict()
                                                             : nullptr);
       }
-      return std::make_unique<ScanOp<B>>(ctx, *p, out, dicts);
+      return std::make_unique<ScanOp<B>>(ctx, *p, out, dicts, spine);
     }
     case OpType::kSelect: {
       // A Select atop a Select chain ending in a plain scan is a potential
@@ -95,7 +103,7 @@ OpPtr<B> BuildOpNode(QueryCtx<B>* ctx, const plan::PlanRef& p) {
                                                                    : nullptr);
             }
             return std::make_unique<VecScanFilterOp<B>>(
-                ctx, sschema, sdicts, std::move(site));
+                ctx, sschema, sdicts, std::move(site), spine);
           }
         }
       }
@@ -163,10 +171,11 @@ OpPtr<B> BuildOpNode(QueryCtx<B>* ctx, const plan::PlanRef& p) {
       for (size_t i = 0; i < p->aggs.size(); ++i) dicts.push_back(nullptr);
       int64_t capacity = plan::RowBound(p, db);
       return std::make_unique<GroupAggOp<B>>(ctx, *p, std::move(child), out,
-                                             dicts, capacity);
+                                             dicts, capacity, spine);
     }
     case OpType::kScalarAgg:
-      return std::make_unique<ScalarAggOp<B>>(ctx, *p, child_op(0), out);
+      return std::make_unique<ScalarAggOp<B>>(ctx, *p, child_op(0), out,
+                                              spine);
     case OpType::kSort: {
       int64_t bound = plan::RowBound(p->children[0], db);
       return std::make_unique<SortOp<B>>(ctx, *p, child_op(0), bound);
@@ -214,12 +223,12 @@ class ProfiledOp final : public Op<B> {
 /// vector, every operator is registered (pre-order) and wrapped. The
 /// recursion goes through here, so child operators are wrapped too.
 template <typename B>
-OpPtr<B> BuildOp(QueryCtx<B>* ctx, const plan::PlanRef& p) {
-  if (ctx->prof == nullptr) return BuildOpNode<B>(ctx, p);
+OpPtr<B> BuildOp(QueryCtx<B>* ctx, const plan::PlanRef& p, bool spine) {
+  if (ctx->prof == nullptr) return BuildOpNode<B>(ctx, p, spine);
   int slot = static_cast<int>(ctx->prof->size());
   ctx->prof->push_back({ProfOpLabel(*p), ctx->prof_depth});
   ++ctx->prof_depth;
-  OpPtr<B> op = BuildOpNode<B>(ctx, p);
+  OpPtr<B> op = BuildOpNode<B>(ctx, p, spine);
   --ctx->prof_depth;
   return std::make_unique<ProfiledOp<B>>(ctx, std::move(op), slot);
 }
@@ -238,7 +247,7 @@ DictVec OutputDicts(QueryCtx<B>* ctx, const plan::PlanRef& p) {
   int saved_sites = ctx->vec_sites;
   bool saved_suppress = ctx->vec_suppress;
   ctx->prof = nullptr;
-  DictVec dicts = BuildOp<B>(ctx, p)->dicts();
+  DictVec dicts = BuildOp<B>(ctx, p, /*spine=*/false)->dicts();
   ctx->prof = saved;
   ctx->vec_sites = saved_sites;
   ctx->vec_suppress = saved_suppress;
@@ -272,37 +281,27 @@ void DriveQuery(B& b, QueryCtx<B>& qctx, const plan::Query& q,
                                            : BufferLayout::kColumnar;
   qctx.flavor = opts.flavor;
   qctx.blend = opts.blend;
-  // Profiling slots are plain `+=` updates shared by all lanes, so a
-  // profiled run stays sequential (documented on EngineOptions::profile).
-  if (opts.num_threads > 1 && !opts.profile) {
-    qctx.num_threads = opts.num_threads;
-    AnalyzeParallel(q.root, &qctx.par_nodes);
-  }
-  // Morsel marking is deliberately thread-count independent: generated code
-  // guards on a runtime null check of the dispenser pointer, so one artifact
-  // serves static-split runs (null), work-stealing runs, and the sequential
-  // compiled suffix of a mid-query switch. Profiled builds opt out — their
-  // counters are not lane-aware and profiling already keys a distinct
-  // fingerprint.
-  if (!opts.profile) AnalyzeMorsel(q, &qctx.morsel_nodes);
+  qctx.num_threads = opts.num_threads;
+  // The spine runs morsel-driven whatever the thread count, so one artifact
+  // serves work-stealing runs and the sequential compiled suffix of a
+  // mid-query switch alike. A profiled build has no spine: its counters are
+  // plain `+=` updates that are not lane-aware (EngineOptions::profile).
+  const bool spine = !opts.profile && HasSpine(q);
   if (!q.scalar_subqueries.empty()) {
     qctx.scalars.arr = b.template AllocArr<double>(
         typename B::I64(static_cast<int64_t>(q.scalar_subqueries.size())));
   }
-  // Scalar subqueries run sequentially — they may share plan nodes with the
-  // (marked) main spine, and their sinks are not lane-aware.
-  int main_threads = qctx.num_threads;
-  qctx.num_threads = 1;
+  // Scalar subqueries are off the spine: plain sequential loops, even over
+  // subtrees they share with it.
   for (size_t i = 0; i < q.scalar_subqueries.size(); ++i) {
-    auto op = BuildOp<B>(&qctx, q.scalar_subqueries[i]);
+    auto op = BuildOp<B>(&qctx, q.scalar_subqueries[i], /*spine=*/false);
     auto dl = op->Prepare();
     dl([&](const Record<B>& rec) {
       b.ArrSet(qctx.scalars.arr, typename B::I64(static_cast<int64_t>(i)),
                AsF64(b, rec.value(0)));
     });
   }
-  qctx.num_threads = main_threads;
-  auto root = BuildOp<B>(&qctx, q.root);
+  auto root = BuildOp<B>(&qctx, q.root, spine);
   RunWithAllocationPolicy(
       b, opts.hoist_alloc, [&] { return root->Prepare(); },
       [&](const typename Op<B>::DataLoop& dl) {
@@ -328,11 +327,11 @@ struct InterpResult {
 /// (Expr::param_slot >= 0); when null, marked leaves fall back to their
 /// original in-plan literals, so the same call serves both the plain path
 /// and the parameterized-oracle path of the differential tests.
-/// `morsels` optionally makes the run morsel-driven: the pipeline claims
-/// row ranges from the shared dispenser and, if morsels->stop_poll fires,
-/// stops at a morsel boundary with partial aggregate state exported into
-/// morsels->seed (see engine/morsel.h). Null preserves the classic static
-/// full-range execution.
+/// The spine always claims its row ranges from a dispenser: `morsels`, or
+/// a fresh one of min(kDefaultMorselRows, LaneMorselCap) rows when null. A
+/// caller-supplied dispenser must have morsel_rows > 0; if its stop_poll
+/// fires, the run stops at a morsel boundary with partial aggregate state
+/// exported into morsels->seed (see engine/morsel.h).
 InterpResult ExecuteInterp(const plan::Query& q, const rt::Database& db,
                            const EngineOptions& opts = {},
                            const plan::ParamVec* params = nullptr,

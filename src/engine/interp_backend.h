@@ -5,6 +5,7 @@
 #ifndef LB2_ENGINE_INTERP_BACKEND_H_
 #define LB2_ENGINE_INTERP_BACKEND_H_
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -81,11 +82,13 @@ class InterpBackend {
   /// tested against the oracle here too.
   template <typename F>
   void ParallelRegion(int n_threads, F body) {
+    lanes_ = n_threads;
     for (int t = 0; t < n_threads; ++t) {
       cur_tid_ = t;
       body(static_cast<I64>(t));
     }
     cur_tid_ = 0;
+    lanes_ = 1;
   }
   I64 CurTid() const { return cur_tid_; }
   template <typename T, typename F, typename G>
@@ -94,29 +97,34 @@ class InterpBackend {
   }
 
   // -- Morsel dispatch (ROADMAP item 5) --------------------------------------
-  /// Binds the morsel run for this execution; null (the default) keeps the
-  /// pre-morsel static range split.
+  /// Binds the morsel run for this execution (ExecuteInterp always binds
+  /// one, with morsel_rows > 0).
   void set_morsels(MorselRun* run) { morsels_ = run; }
   MorselRun* morsels() const { return morsels_; }
 
-  /// Drives `body(mlo, mhi)` over [lo, hi). With a bound dispenser, claims
-  /// fixed-size morsels from the shared atomic cursor until the range is
-  /// exhausted or stop_poll fires at a boundary (setting `stopped` so the
-  /// sink exports seed state instead of results); without one, falls back
-  /// to the static per-thread split. The cursor is never reset, so a
+  /// Drives `body(mlo, mhi)` over [lo, hi), claiming fixed-size morsels
+  /// from the shared atomic cursor until the range is exhausted or
+  /// stop_poll fires at a boundary (setting `stopped` so the sink exports
+  /// seed state instead of results). The cursor is never reset, so a
   /// compiled suffix handed the same dispenser resumes exactly where this
-  /// prefix stopped.
+  /// prefix stopped. Inside a parallel region, whose lanes run one after
+  /// another here, each lane but the last stops after its fair share of
+  /// the morsels still unclaimed: one legal schedule of the threaded code,
+  /// and one that gives every lane (and the lane merge) work.
   template <typename F>
-  void MorselLoop(I64 lo, I64 hi, I64 tid, int n_threads, F body) {
+  void MorselLoop(I64 lo, I64 hi, F body) {
     MorselRun* run = morsels_;
-    if (run == nullptr || run->source.morsel_rows <= 0) {
-      I64 n = hi - lo;
-      body(lo + tid * n / n_threads, lo + (tid + 1) * n / n_threads);
-      return;
-    }
     const I64 mr = run->source.morsel_rows;
-    for (;;) {
-      if (run->stop_poll && run->stop_poll()) {
+    const I64 lanes_left = lanes_ - cur_tid_;
+    I64 quota = -1;  // the last (or only) lane drains the dispenser
+    if (lanes_left > 1) {
+      const I64 unclaimed =
+          (hi - lo + mr - 1) / mr -
+          run->source.next.load(std::memory_order_relaxed);
+      quota = (std::max<I64>(unclaimed, 0) + lanes_left - 1) / lanes_left;
+    }
+    for (I64 taken = 0; quota < 0 || taken < quota; ++taken) {
+      if (run->stopped || (run->stop_poll && run->stop_poll())) {
         run->stopped = true;
         break;
       }
@@ -471,6 +479,7 @@ class InterpBackend {
   const plan::ParamVec* params_ = nullptr;
   MorselRun* morsels_ = nullptr;
   I64 cur_tid_ = 0;
+  I64 lanes_ = 1;  // lanes of the running parallel region (1 outside one)
   std::vector<bool> break_stack_;
   std::string out_;
   int64_t rows_ = 0;

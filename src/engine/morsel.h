@@ -22,9 +22,11 @@
 
 namespace lb2::engine {
 
-/// Default morsel size in rows (LB2_MORSEL_ROWS at the service layer).
-/// Large enough that the fetch-add is noise, small enough that a switch
-/// or steal happens within a few milliseconds of scan work.
+/// Default morsel size in rows: the dispenser CompiledQuery::Run and
+/// ExecuteInterp bind when the caller passes none, and the service's
+/// default (LB2_MORSEL_ROWS). Large enough that the fetch-add is noise,
+/// small enough that a switch or steal happens within a few milliseconds
+/// of scan work.
 inline constexpr int64_t kDefaultMorselRows = 65536;
 
 /// One morsel-driven run: dispenser + optional claim counters + the seed
@@ -62,8 +64,7 @@ struct MorselRun {
   /// on push_back, so the (ptr,len) slots stay valid as rows accumulate.
   std::deque<std::string> seed_strings;
 
-  MorselRun() = default;
-  explicit MorselRun(int64_t morsel_rows) {
+  explicit MorselRun(int64_t morsel_rows = kDefaultMorselRows) {
     source.morsel_rows = morsel_rows;
   }
 

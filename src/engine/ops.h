@@ -18,7 +18,6 @@
 
 #include <functional>
 #include <memory>
-#include <set>
 
 #include "engine/expr_eval.h"
 #include "engine/hashmap.h"
@@ -39,10 +38,9 @@ struct QueryCtx {
   ScalarEnv<B> scalars;
   /// Join build-side materialization layout (paper §4.1 ablation).
   BufferLayout join_layout = BufferLayout::kRow;
-  /// Parallel execution (paper §4.5): nodes on the marked spine partition
-  /// work across this many threads.
+  /// Parallel execution (paper §4.5): operators built on the spine (see
+  /// engine/parallel.h) partition work across this many threads.
   int num_threads = 1;
-  std::set<const plan::PlanNode*> par_nodes;
   /// Non-null when profiling: BuildOp records one ProfOpMeta per operator
   /// (pre-order; the vector index is the operator's counter slot) and wraps
   /// its data loop with counter updates. See engine/profile.h.
@@ -57,21 +55,36 @@ struct QueryCtx {
   uint64_t blend = 0;
   int vec_sites = 0;
   bool vec_suppress = false;
-  /// Morsel-driven execution (ROADMAP item 5): nodes on the marked spine
-  /// pull row ranges from the shared dispenser instead of a static split.
-  /// `morsels` is bound only for interpreted runs (the compiled build reads
-  /// the dispenser through its lb2_exec_ctx header instead); null keeps the
-  /// classic behavior.
-  std::set<const plan::PlanNode*> morsel_nodes;
-  MorselRun* morsels = nullptr;
 
-  bool IsPar(const plan::PlanNode* n) const {
-    return num_threads > 1 && par_nodes.count(n) > 0;
-  }
-  bool IsMorsel(const plan::PlanNode* n) const {
-    return morsel_nodes.count(n) > 0;
-  }
+  /// Whether an operator built with BuildOp's on-spine flag `spine` runs
+  /// inside a parallel region (one lane per thread).
+  bool IsPar(bool spine) const { return spine && num_threads > 1; }
 };
+
+/// The one scan loop. Off the spine, a scan is a plain loop over `span()`.
+/// On the spine, the loop claims morsels of `span()` from the shared
+/// dispenser (B::MorselLoop) — in every worker of a parallel region when
+/// the query runs on more than one thread, so idle workers steal the next
+/// morsel, and an interpreted prefix and a compiled suffix can split one
+/// range. `span()` is evaluated where the loop runs: staged worker
+/// functions cannot see the entry's locals.
+template <typename B, typename S, typename F>
+void ScanLoop(QueryCtx<B>* ctx, bool spine, S span, F body) {
+  B& b = *ctx->b;
+  auto loop = [&] {
+    auto [lo, hi] = span();
+    if (spine) {
+      b.MorselLoop(lo, hi, body);
+    } else {
+      body(lo, hi);
+    }
+  };
+  if (ctx->IsPar(spine)) {
+    b.ParallelRegion(ctx->num_threads, [&](typename B::I64) { loop(); });
+  } else {
+    loop();
+  }
+}
 
 template <typename B>
 class Op {
@@ -167,8 +180,10 @@ template <typename B>
 class ScanOp final : public Op<B> {
  public:
   ScanOp(QueryCtx<B>* ctx, const plan::PlanNode& n, schema::Schema schema,
-         DictVec dicts)
-      : Op<B>(ctx, std::move(schema), std::move(dicts)), node_(&n) {}
+         DictVec dicts, bool spine)
+      : Op<B>(ctx, std::move(schema), std::move(dicts)),
+        node_(&n),
+        spine_(spine) {}
 
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
@@ -178,10 +193,7 @@ class ScanOp final : public Op<B> {
     if (use_date_index) {
       date_acc_ = b.DateIdx(node_->table, node_->date_index_col);
     }
-    bool par = this->ctx_->IsPar(node_);
-    bool morsel = this->ctx_->IsMorsel(node_);
-    return [this, use_date_index, par,
-            morsel](const typename Op<B>::Callback& cb) {
+    return [this, use_date_index](const typename Op<B>::Callback& cb) {
       B& b = *this->ctx_->b;
       using I64 = typename B::I64;
       // Emits the scan loop over [lo, hi) of either row ids or date-index
@@ -195,8 +207,6 @@ class ScanOp final : public Op<B> {
           b.For(lo, hi, [&](I64 i) { cb(reader_.RecordAt(b, i)); });
         }
       };
-      // The span is (re)computed wherever it is needed: inside the worker
-      // for parallel scans (worker functions cannot see entry locals).
       auto span_of = [&]() -> std::pair<I64, I64> {
         if (use_date_index) {
           // §4.3 date indexing: iterate only buckets intersecting the
@@ -205,33 +215,13 @@ class ScanOp final : public Op<B> {
         }
         return {I64(0), b.TableRows(node_->table)};
       };
-      if (par) {
-        int nt = this->ctx_->num_threads;
-        b.ParallelRegion(nt, [&](I64 tid) {
-          auto [lo, hi] = span_of();
-          if (morsel) {
-            b.MorselLoop(lo, hi, tid, nt, span_loop);
-          } else {
-            I64 n = hi - lo;
-            I64 t_lo = lo + (tid * n) / I64(nt);
-            I64 t_hi = lo + ((tid + I64(1)) * n) / I64(nt);
-            span_loop(t_lo, t_hi);
-          }
-        });
-      } else if (morsel) {
-        // A sequential morsel scan still pulls from the dispenser: this is
-        // how an interpreted prefix and a compiled suffix split one range.
-        auto [lo, hi] = span_of();
-        b.MorselLoop(lo, hi, I64(0), 1, span_loop);
-      } else {
-        auto [lo, hi] = span_of();
-        span_loop(lo, hi);
-      }
+      ScanLoop(this->ctx_, spine_, span_of, span_loop);
     };
   }
 
  private:
   const plan::PlanNode* node_;
+  bool spine_;
   TableReader<B> reader_;
   typename B::DateAcc date_acc_{};
 };
@@ -692,11 +682,13 @@ template <typename B>
 class GroupAggOp final : public Op<B> {
  public:
   GroupAggOp(QueryCtx<B>* ctx, const plan::PlanNode& n, OpPtr<B> child,
-             schema::Schema schema, DictVec dicts, int64_t capacity)
+             schema::Schema schema, DictVec dicts, int64_t capacity,
+             bool spine)
       : Op<B>(ctx, std::move(schema), std::move(dicts)),
         node_(&n),
         child_(std::move(child)),
-        capacity_(capacity) {}
+        capacity_(capacity),
+        spine_(spine) {}
 
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
@@ -711,7 +703,7 @@ class GroupAggOp final : public Op<B> {
       val_schema.Add(this->schema_.field(i));
       val_dicts.push_back(nullptr);
     }
-    bool par = this->ctx_->IsPar(node_);
+    bool par = this->ctx_->IsPar(spine_);
     int lanes = par ? this->ctx_->num_threads : 1;
     hm_.Init(b, key_schema, key_dicts, val_schema, val_dicts, capacity_,
              lanes);
@@ -723,12 +715,12 @@ class GroupAggOp final : public Op<B> {
       if constexpr (B::kIsStaged) {
         // Seed import for a compiled suffix run: fold the interpreted
         // prefix's partial groups into lane 0 before any morsel is claimed.
-        // Emitted unconditionally for morsel-marked plans but bounded by
-        // SeedRows() — zero without a dispenser, so the normal path skips
-        // it entirely at run time. Runs before the parallel region (dl
-        // spawns it), so the lane-0 updates are race-free, and first-sight
-        // merge-with-init equals the seed value exactly for every AggKind.
-        if (this->ctx_->IsMorsel(node_)) {
+        // Emitted for every spine sink but bounded by SeedRows() — zero on
+        // a fresh dispenser, so the normal path skips it at run time. Runs
+        // before the parallel region (dl spawns it), so the lane-0 updates
+        // are race-free, and first-sight merge-with-init equals the seed
+        // value exactly for every AggKind.
+        if (spine_) {
           const int stride = MorselSeedStride(key_schema, key_dicts,
                                               val_schema);
           b.For(I64(0), b.SeedRows(), [&](I64 r) {
@@ -852,9 +844,9 @@ class GroupAggOp final : public Op<B> {
         // boundary: flatten the (merged) lane-0 groups into the handoff
         // buffer and emit NO output — the compiled suffix folds the seed
         // back in and produces the complete result itself.
-        if (this->ctx_->IsMorsel(node_)) {
-          MorselRun* run = this->ctx_->morsels;
-          if (run != nullptr && run->stopped) {
+        if (spine_) {
+          MorselRun* run = b.morsels();
+          if (run->stopped) {
             hm_.ForeachLane(b, I64(0), [&](const Record<B>& krec,
                                            const Record<B>& vrec) {
               for (int i = 0; i < krec.size(); ++i) {
@@ -897,6 +889,7 @@ class GroupAggOp final : public Op<B> {
   const plan::PlanNode* node_;
   OpPtr<B> child_;
   int64_t capacity_;
+  bool spine_;
   LB2HashMap<B> hm_;
 };
 
@@ -904,18 +897,18 @@ template <typename B>
 class ScalarAggOp final : public Op<B> {
  public:
   ScalarAggOp(QueryCtx<B>* ctx, const plan::PlanNode& n, OpPtr<B> child,
-              schema::Schema schema)
+              schema::Schema schema, bool spine)
       : Op<B>(ctx, std::move(schema), DictVec(
                                           static_cast<size_t>(n.aggs.size()),
                                           nullptr)),
         node_(&n),
-        child_(std::move(child)) {}
+        child_(std::move(child)),
+        spine_(spine) {}
 
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
     using I64 = typename B::I64;
-    bool par = this->ctx_->IsPar(node_);
-    int lanes = par ? this->ctx_->num_threads : 1;
+    int lanes = this->ctx_->IsPar(spine_) ? this->ctx_->num_threads : 1;
     // One accumulator slot per lane per aggregate; (file-scope) arrays so
     // parallel workers can update their own lane.
     i64_acc_.clear();
@@ -944,7 +937,7 @@ class ScalarAggOp final : public Op<B> {
       if constexpr (B::kIsStaged) {
         // Seed import (see GroupAggOp): merge the interpreted prefix's one
         // exported accumulator row into lane 0. SeedRows() is 0 or 1 here.
-        if (this->ctx_->IsMorsel(node_)) {
+        if (spine_) {
           const int stride = this->schema_.size();
           b.For(I64(0), b.SeedRows(), [&](I64 r) {
             for (int i = 0; i < this->schema_.size(); ++i) {
@@ -987,9 +980,9 @@ class ScalarAggOp final : public Op<B> {
         // Seed export on a stopped prefix: one row of lane-0 accumulators.
         // With zero morsels claimed these are the init values — exact merge
         // identities for every AggKind, so a switch at morsel 0 is correct.
-        if (this->ctx_->IsMorsel(node_)) {
-          MorselRun* run = this->ctx_->morsels;
-          if (run != nullptr && run->stopped) {
+        if (spine_) {
+          MorselRun* run = b.morsels();
+          if (run->stopped) {
             for (int i = 0; i < this->schema_.size(); ++i) {
               Value<B> v = LaneValue(b, i, I64(0));
               if (this->schema_.field(i).kind ==
@@ -1031,6 +1024,7 @@ class ScalarAggOp final : public Op<B> {
 
   const plan::PlanNode* node_;
   OpPtr<B> child_;
+  bool spine_;
   std::vector<typename B::template Arr<int64_t>> i64_acc_;
   std::vector<typename B::template Arr<double>> f64_acc_;
 };

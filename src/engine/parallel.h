@@ -1,99 +1,100 @@
-// Parallel-plan analysis (paper §4.5): which nodes of a plan run inside a
-// pthread parallel region. The spine walks from the root aggregation
-// toward its source scan, following the probe sides of joins: the scan
-// partitions its row range across threads, stateless operators and
-// read-only join probes run unchanged inside workers, and the sink
-// aggregation keeps one hash-table lane per thread which is merged after
-// the region (see hashmap.h / ops.h). Build sides always run sequentially
-// before the region starts.
+// The spine (paper §4.5): the main pipeline of a query, from its root
+// aggregation down the probe sides of joins to the source scan. Every scan
+// on the spine claims morsels from the shared dispenser (engine/morsel.h),
+// across a pthread parallel region when the query runs on more than one
+// thread: stateless operators and read-only join probes run unchanged
+// inside workers, and the sink aggregation keeps one hash-table lane per
+// thread, merged after the region (see hashmap.h / ops.h). Build sides and
+// scalar subqueries run sequentially before the spine starts.
+//
+// The spine is a path of *occurrences*, not a set of plan nodes: BuildOp
+// carries an on-spine flag down from the root, to SpineChild only, so a
+// subtree that a build side or a scalar subquery shares with the spine
+// (TPC-H Q17 reuses one part ⋈ lineitem PlanRef on both sides of a join) is
+// built there as a plain sequential loop and never touches the dispenser.
 #ifndef LB2_ENGINE_PARALLEL_H_
 #define LB2_ENGINE_PARALLEL_H_
 
-#include <set>
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "plan/plan.h"
+#include "runtime/database.h"
 
 namespace lb2::engine {
 
-/// Walks from a pipeline sink toward its source and marks the source Scan
-/// for partitioned execution. Returns false (and marks nothing) when the
-/// source is not a partitionable base scan (e.g. another aggregate).
-inline bool MarkParSpine(const plan::PlanRef& p,
-                         std::set<const plan::PlanNode*>* out) {
-  switch (p->type) {
+/// Index of the child of `p` that continues the spine when `p` is on it:
+/// the probe side of a join (HashJoin builds on the left and probes the
+/// right; semi/anti/left-count joins probe with the left), the input of
+/// every other operator, -1 for a scan. The one place that knows which
+/// side of a join carries the spine — HasSpine walks it and BuildOp passes
+/// its on-spine flag down it.
+inline int SpineChild(const plan::PlanNode& p) {
+  switch (p.type) {
     case plan::OpType::kScan:
-      out->insert(p.get());
-      return true;
-    case plan::OpType::kSelect:
-    case plan::OpType::kProject:
-      return MarkParSpine(p->children[0], out);
+      return -1;
     case plan::OpType::kHashJoin:
-      // Builds run sequentially before the region; probes are read-only.
-      return MarkParSpine(p->children[1], out);
-    case plan::OpType::kSemiJoin:
-    case plan::OpType::kAntiJoin:
-    case plan::OpType::kLeftCountJoin:
-      return MarkParSpine(p->children[0], out);
+      return 1;
     default:
-      return false;  // aggregates/sorts cannot source a partitioned loop
+      return 0;
   }
 }
 
-/// Marks the root aggregation and its feeding pipeline for parallel
-/// execution. Only aggregate-rooted pipelines parallelize (their output
-/// loop and everything above runs sequentially on collapsed data).
-inline void AnalyzeParallel(const plan::PlanRef& root,
-                            std::set<const plan::PlanNode*>* out) {
-  const plan::PlanRef* p = &root;
-  while ((*p)->type == plan::OpType::kSort ||
-         (*p)->type == plan::OpType::kLimit ||
-         (*p)->type == plan::OpType::kProject ||
-         (*p)->type == plan::OpType::kSelect) {
-    p = &(*p)->children[0];
+/// The base scan that sources `q`'s spine, or null when `q` has none. A
+/// spine exists when the root, below any Sort/Limit/Project/Select tail
+/// (which runs sequentially on collapsed data), is an aggregation whose
+/// input reaches a base scan through Selects, Projects and joins along
+/// SpineChild. Only such plans run morsel-driven — the aggregate is the
+/// merge-safe sink an interpreted prefix's partial state folds into, which
+/// is the precondition for a mid-query interpreted→compiled switch.
+inline const plan::PlanNode* SpineScan(const plan::Query& q) {
+  using plan::OpType;
+  const plan::PlanNode* p = q.root.get();
+  while (p->type == OpType::kSort || p->type == OpType::kLimit ||
+         p->type == OpType::kProject || p->type == OpType::kSelect) {
+    p = p->children[0].get();
   }
-  if ((*p)->type == plan::OpType::kGroupAgg ||
-      (*p)->type == plan::OpType::kScalarAgg) {
-    std::set<const plan::PlanNode*> marks;
-    if (MarkParSpine((*p)->children[0], &marks)) {
-      marks.insert(p->get());
-      out->insert(marks.begin(), marks.end());
+  if (p->type != OpType::kGroupAgg && p->type != OpType::kScalarAgg) {
+    return nullptr;
+  }
+  for (p = p->children[0].get(); p->type != OpType::kScan;
+       p = p->children[static_cast<size_t>(SpineChild(*p))].get()) {
+    switch (p->type) {
+      case OpType::kHashJoin:
+      case OpType::kSelect:
+      case OpType::kProject:
+      case OpType::kSemiJoin:
+      case OpType::kAntiJoin:
+      case OpType::kLeftCountJoin:
+        break;
+      default:
+        return nullptr;  // aggregates/sorts cannot source a morsel loop
     }
   }
+  return p;
 }
 
-/// Marks the nodes of `q`'s main pipeline that run morsel-driven: the same
-/// aggregate-rooted spine AnalyzeParallel accepts, but independent of the
-/// thread count — a sequential compiled suffix must still pull from the
-/// shared dispenser to finish what an interpreted prefix started. Plans
-/// with scalar subqueries are skipped (their sinks share spine nodes and
-/// are not seed-exportable), as are non-aggregate roots (no merge-safe
-/// sink to fold an interpreted prefix's partial state into).
-inline void AnalyzeMorsel(const plan::Query& q,
-                          std::set<const plan::PlanNode*>* out) {
-  if (!q.scalar_subqueries.empty()) return;
-  const plan::PlanRef* p = &q.root;
-  while ((*p)->type == plan::OpType::kSort ||
-         (*p)->type == plan::OpType::kLimit ||
-         (*p)->type == plan::OpType::kProject ||
-         (*p)->type == plan::OpType::kSelect) {
-    p = &(*p)->children[0];
-  }
-  if ((*p)->type == plan::OpType::kGroupAgg ||
-      (*p)->type == plan::OpType::kScalarAgg) {
-    std::set<const plan::PlanNode*> marks;
-    if (MarkParSpine((*p)->children[0], &marks)) {
-      marks.insert(p->get());
-      out->insert(marks.begin(), marks.end());
-    }
-  }
-}
+/// True when `q` has a spine (see SpineScan).
+inline bool HasSpine(const plan::Query& q) { return SpineScan(q) != nullptr; }
 
-/// True when `q` can run morsel-driven end to end — the precondition for a
-/// mid-query interpreted→compiled switch.
-inline bool MorselEligible(const plan::Query& q) {
-  std::set<const plan::PlanNode*> marks;
-  AnalyzeMorsel(q, &marks);
-  return !marks.empty();
+/// Morsels per thread a parallel run aims for on a small spine: enough that
+/// every lane has work even when one worker starts late, few enough that a
+/// claim stays noise next to the rows it hands out.
+inline constexpr int64_t kMorselsPerLane = 4;
+
+/// Largest morsel size at which each of `threads` lanes still gets
+/// kMorselsPerLane morsels of `q`'s spine table; INT64_MAX on one thread or
+/// without a spine. A dispenser for a run of `q` takes the smaller of this
+/// and its configured size, so a small spine spreads over every lane while
+/// a large one keeps the configured size.
+inline int64_t LaneMorselCap(const plan::Query& q, const rt::Database& db,
+                             int threads) {
+  const plan::PlanNode* scan = threads > 1 ? SpineScan(q) : nullptr;
+  if (scan == nullptr) return std::numeric_limits<int64_t>::max();
+  const int64_t rows = db.table(scan->table).num_rows();
+  const int64_t morsels = kMorselsPerLane * threads;
+  return std::max<int64_t>(1, (rows + morsels - 1) / morsels);
 }
 
 }  // namespace lb2::engine

@@ -111,49 +111,33 @@ class StageBackend {
   I64 CurTid() const { return cur_tid_; }
 
   // -- Morsel dispatch (ROADMAP item 5) --------------------------------------
-  /// Emits the morsel-claiming loop over [lo, hi): when the caller bound a
-  /// dispenser (lb2_ctx->morsels), every worker pulls fixed-size morsels
-  /// from the shared atomic cursor — work stealing for free, and a suffix
-  /// run resumes exactly where an interpreted prefix stopped. With a null
-  /// dispenser the loop degrades to the pre-morsel static per-thread split,
-  /// so one artifact serves both run modes. The body is staged twice (once
-  /// per branch); operator loop bodies are emitted per call site anyway, so
-  /// the duplication costs text, not correctness.
+  /// Emits the morsel-claiming loop over [lo, hi): every worker pulls
+  /// fixed-size morsels from the shared atomic cursor of the dispenser the
+  /// host bound (lb2_ctx->morsels, never null, morsel_rows > 0) — work
+  /// stealing for free, and a suffix run resumes exactly where an
+  /// interpreted prefix stopped.
   template <typename F>
-  void MorselLoop(I64 lo, I64 hi, I64 tid, int n_threads, F body) {
-    Bool has = stage::Bind<bool>(
-        "(lb2_ctx->morsels != 0 && lb2_ctx->morsels->morsel_rows > 0)");
-    stage::IfElse(
-        has,
-        [&] {
-          I64 mr = stage::Bind<int64_t>("lb2_ctx->morsels->morsel_rows");
-          stage::Loop([&] {
-            I64 m = stage::Bind<int64_t>(
-                "__atomic_fetch_add(&lb2_ctx->morsels->next, 1, "
-                "__ATOMIC_RELAXED)");
-            I64 mlo = lo + m * mr;
-            stage::If(mlo >= hi, [] { stage::Break(); });
-            I64 mhi = stage::Select(mlo + mr < hi, mlo + mr, hi);
-            stage::Stmt("if (lb2_ctx->morsels->claims && " + m.ref() +
-                        " < lb2_ctx->morsels->claims_len) "
-                        "__atomic_fetch_add(&lb2_ctx->morsels->claims[" +
-                        m.ref() + "], 1, __ATOMIC_RELAXED);");
-            body(mlo, mhi);
-          });
-        },
-        [&] {
-          I64 n = hi - lo;
-          body(lo + tid * n / I64(n_threads),
-               lo + (tid + I64(1)) * n / I64(n_threads));
-        });
+  void MorselLoop(I64 lo, I64 hi, F body) {
+    I64 mr = stage::Bind<int64_t>("lb2_ctx->morsels->morsel_rows");
+    stage::Loop([&] {
+      I64 m = stage::Bind<int64_t>(
+          "__atomic_fetch_add(&lb2_ctx->morsels->next, 1, __ATOMIC_RELAXED)");
+      I64 mlo = lo + m * mr;
+      stage::If(mlo >= hi, [] { stage::Break(); });
+      I64 mhi = stage::Select(mlo + mr < hi, mlo + mr, hi);
+      stage::Stmt("if (lb2_ctx->morsels->claims && " + m.ref() +
+                  " < lb2_ctx->morsels->claims_len) "
+                  "__atomic_fetch_add(&lb2_ctx->morsels->claims[" + m.ref() +
+                  "], 1, __ATOMIC_RELAXED);");
+      body(mlo, mhi);
+    });
   }
 
   /// Number of seed rows an interpreted prefix exported into the dispenser
-  /// (0 without one — seed-import loops then run zero iterations, so the
+  /// (0 on a fresh one — seed-import loops then run zero iterations, so the
   /// seed pointer is never dereferenced on the normal path).
   I64 SeedRows() {
-    return stage::Bind<int64_t>(
-        "(lb2_ctx->morsels ? lb2_ctx->morsels->seed_rows : 0)");
+    return stage::Bind<int64_t>("lb2_ctx->morsels->seed_rows");
   }
   /// One flat i64 slot of the seed buffer. `stride` and `slot` are
   /// generation-time constants derived from the plan (MorselSeedStride in

@@ -127,10 +127,11 @@ template <typename B>
 class VecScanFilterOp final : public Op<B> {
  public:
   VecScanFilterOp(QueryCtx<B>* ctx, schema::Schema schema, DictVec dicts,
-                  VecSiteInfo site)
+                  VecSiteInfo site, bool spine)
       : Op<B>(ctx, std::move(schema), std::move(dicts)),
         site_(std::move(site)),
-        scan_(site_.scan.get()) {}
+        scan_(site_.scan.get()),
+        spine_(spine) {}
 
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
@@ -142,12 +143,11 @@ class VecScanFilterOp final : public Op<B> {
       kacc_.push_back(b.Column(scan_->table, e->children[0]->str,
                                ColumnOptions{}));
     }
-    bool par = this->ctx_->IsPar(scan_);
-    bool morsel = this->ctx_->IsMorsel(scan_);
+    bool par = this->ctx_->IsPar(spine_);
     int lanes = par ? this->ctx_->num_threads : 1;
     flags_ = b.template AllocArr<uint8_t>(I64(lanes * kVecBatch));
     sel_ = b.template AllocArr<int32_t>(I64(lanes * kVecBatch));
-    return [this, par, morsel](const typename Op<B>::Callback& cb) {
+    return [this, par](const typename Op<B>::Callback& cb) {
       B& b = *this->ctx_->b;
       // Batch loop over [lo, hi); `off` is this lane's scratch offset.
       auto batch_range = [&](I64 lo, I64 hi, I64 off) {
@@ -181,29 +181,17 @@ class VecScanFilterOp final : public Op<B> {
           b.Set(cur, base + I64(kVecBatch));
         });
       };
-      if (par) {
-        int nt = this->ctx_->num_threads;
-        b.ParallelRegion(nt, [&](I64 tid) {
-          I64 rows = b.TableRows(scan_->table);
-          if (morsel) {
-            // Morsel bounds need not align to kVecBatch: batch_range clips
-            // the final partial batch, and the scratch slice stays keyed by
-            // tid, not morsel, so lanes never overlap.
-            b.MorselLoop(I64(0), rows, tid, nt, [&](I64 mlo, I64 mhi) {
-              batch_range(mlo, mhi, tid * I64(kVecBatch));
-            });
-          } else {
-            I64 t_lo = (tid * rows) / I64(nt);
-            I64 t_hi = ((tid + I64(1)) * rows) / I64(nt);
-            batch_range(t_lo, t_hi, tid * I64(kVecBatch));
-          }
-        });
-      } else if (morsel) {
-        b.MorselLoop(I64(0), b.TableRows(scan_->table), I64(0), 1,
-                     [&](I64 mlo, I64 mhi) { batch_range(mlo, mhi, I64(0)); });
-      } else {
-        batch_range(I64(0), b.TableRows(scan_->table), I64(0));
-      }
+      // Morsel bounds need not align to kVecBatch: batch_range clips the
+      // final partial batch, and the scratch slice stays keyed by tid, not
+      // morsel, so lanes never overlap.
+      ScanLoop(
+          this->ctx_, spine_,
+          [&]() -> std::pair<I64, I64> {
+            return {I64(0), b.TableRows(scan_->table)};
+          },
+          [&](I64 lo, I64 hi) {
+            batch_range(lo, hi, par ? b.CurTid() * I64(kVecBatch) : I64(0));
+          });
     };
   }
 
@@ -245,6 +233,7 @@ class VecScanFilterOp final : public Op<B> {
 
   VecSiteInfo site_;
   const plan::PlanNode* scan_;
+  bool spine_;
   TableReader<B> reader_;
   std::vector<typename B::ColAcc> kacc_;
   typename B::template Arr<uint8_t> flags_;

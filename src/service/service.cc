@@ -1,5 +1,6 @@
 #include "service/service.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -125,7 +126,7 @@ int64_t DefaultMorselRows() {
   const char* env = std::getenv("LB2_MORSEL_ROWS");
   if (env != nullptr) {
     long long v = std::atoll(env);
-    if (v >= 0) return static_cast<int64_t>(v);
+    if (v >= 1) return static_cast<int64_t>(v);
   }
   return engine::kDefaultMorselRows;
 }
@@ -257,6 +258,8 @@ QueryService::QueryService(const rt::Database& db, ServiceOptions opts)
       opts_(opts),
       cache_(opts.cache_capacity, opts.cache_bytes),
       gate_(opts.max_inflight, opts.queue_timeout_ms) {
+  LB2_CHECK_MSG(opts_.morsel_rows > 0,
+                "ServiceOptions::morsel_rows must be > 0");
   if (!opts_.cache_dir.empty()) {
     store_ = std::make_unique<ArtifactStore>(opts_.cache_dir,
                                              opts_.cache_disk_bytes,
@@ -295,6 +298,16 @@ QueryService::~QueryService() {
   if (bg_thread_.joinable()) bg_thread_.join();
 }
 
+compile::CompiledQuery::RunResult QueryService::RunEntry(
+    const compile::CompiledQuery& query, const plan::ParamVec* params) const {
+  // A fresh dispenser (no seed, no claim counters) per execution: the spine
+  // of a parallel plan pulls morsels, so one slow core cannot strand a
+  // skewed range, and a small spine still spreads over every thread.
+  stage::MorselSource morsels;
+  morsels.morsel_rows = query.MorselRows(opts_.morsel_rows);
+  return query.Run(params, &morsels);
+}
+
 ServiceResult QueryService::RunCompiled(const CacheEntryPtr& entry,
                                         ServiceResult::Path path,
                                         const Fingerprint& fp,
@@ -314,18 +327,7 @@ ServiceResult QueryService::RunCompiled(const CacheEntryPtr& entry,
   // No run lock: entries are reentrant (each Run() builds a private
   // execution context), so same-entry executions overlap freely.
   int64_t t0 = spans != nullptr ? NowNs() : 0;
-  compile::CompiledQuery::RunResult rr;
-  if (opts_.morsel_rows > 0) {
-    // Work stealing for every compiled run: a fresh dispenser (no seed, no
-    // claim counters) makes the generated parallel region pull morsels
-    // instead of trusting its static split, so one slow core cannot strand
-    // a skewed range. Plans whose pipelines the morsel analysis left
-    // unmarked ignore the pointer entirely.
-    engine::MorselRun run(opts_.morsel_rows);
-    rr = entry->query.Run(params, &run.source);
-  } else {
-    rr = entry->query.Run(params);
-  }
+  compile::CompiledQuery::RunResult rr = RunEntry(entry->query, params);
   if (spans != nullptr) spans->push_back({"exec", t0, NowNs()});
   ServiceResult r;
   if (!rr.prof.empty() && opts_.metrics) {
@@ -622,8 +624,7 @@ ServiceResult QueryService::ExecuteAdmitted(const plan::Query& q,
   if (leader) {
     stats_.misses.fetch_add(1, std::memory_order_relaxed);
     stats_.in_flight.fetch_add(1, std::memory_order_relaxed);
-    if (opts_.midquery_switch && opts_.morsel_rows > 0 && !eopts.profile &&
-        engine::MorselEligible(q)) {
+    if (opts_.midquery_switch && !eopts.profile && engine::HasSpine(q)) {
       // Hybrid cold start: interpret over the shared morsel dispenser now,
       // JIT in the background, hand off at a morsel boundary if the
       // compiled entry lands mid-query.
@@ -755,8 +756,10 @@ ServiceResult QueryService::RunMorselSwitch(
   }
 
   // The interpreted prefix: single-threaded (the seed export reads lane 0)
-  // over the shared dispenser. The stop poll runs once per morsel boundary.
-  engine::MorselRun run(opts_.morsel_rows);
+  // over the shared dispenser, sized for the compiled suffix's threads. The
+  // stop poll runs once per morsel boundary.
+  engine::MorselRun run(std::min(
+      opts_.morsel_rows, engine::LaneMorselCap(q, db_, eopts.num_threads)));
   if (switch_at >= 0) {
     run.stop_poll = [&run, switch_at] { return run.claimed >= switch_at; };
   } else {
@@ -1215,10 +1218,10 @@ QueryService::ExploreOutcome QueryService::ExploreShape(
     stats_.explore_candidates.fetch_add(1, std::memory_order_relaxed);
     // One warm-up run, then best-of-3 over the generated code's own timed
     // region: the explorer prices steady state, not first touch.
-    (void)entry->query.Run(params);
+    (void)RunEntry(entry->query, params);
     double ms = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
-      double m = entry->query.Run(params).exec_ms;
+      double m = RunEntry(entry->query, params).exec_ms;
       if (rep == 0 || m < ms) ms = m;
     }
     out.report += StrPrintf("  %-12s %10.3f ms\n", spec.c_str(), ms);

@@ -125,9 +125,8 @@ bool DefaultExploreEnabled();
 /// else 0 (per-operator sampling off).
 int DefaultProfSampleEvery();
 
-/// Default morsel size in rows: LB2_MORSEL_ROWS env var, else
-/// engine::kDefaultMorselRows (0 disables the shared dispenser — pipelines
-/// fall back to their static per-thread splits).
+/// Default morsel size in rows: LB2_MORSEL_ROWS env var when it is > 0,
+/// else engine::kDefaultMorselRows.
 int64_t DefaultMorselRows();
 
 /// Default for ServiceOptions::midquery_switch: LB2_MIDQUERY_SWITCH env var
@@ -224,11 +223,13 @@ struct ServiceOptions {
   /// price of one extra artifact per shape and a sampled profiled run.
   /// Profiled runs are sequential (EngineOptions::profile contract).
   int prof_sample_every = DefaultProfSampleEvery();
-  /// Morsel size in rows for morsel-driven pipelines. When > 0, every
-  /// compiled execution of a morsel-eligible plan pulls fixed-size row
-  /// ranges from a shared atomic dispenser instead of a static per-thread
-  /// split — work stealing across threads for free — and the mid-query
-  /// switch below becomes possible. 0 restores static splits everywhere.
+  /// Morsel size in rows; must be > 0 (checked at construction). Every
+  /// execution of a plan with a spine (engine::HasSpine) pulls fixed-size
+  /// row ranges from a fresh shared atomic dispenser of this size — work
+  /// stealing across threads for free — and the mid-query switch below
+  /// hands one dispenser from the interpreter to the compiled code. A
+  /// parallel run shrinks it to engine::LaneMorselCap, so a spine smaller
+  /// than kMorselsPerLane morsels per thread still spreads over every lane.
   int64_t morsel_rows = DefaultMorselRows();
   /// Mid-query interpreted→compiled switch: a cold leader starts its
   /// request on the interpreter immediately, pulling morsels from the
@@ -238,9 +239,9 @@ struct ServiceOptions {
   /// at the next morsel boundary, exports its partial aggregate state as
   /// seed rows, and the compiled code — handed the *same* dispenser —
   /// finishes the remaining morsels (ServiceResult::switched_mid_query).
-  /// Only morsel-eligible plans (aggregate-rooted pipelines, see
-  /// engine::MorselEligible) take this path; everything else keeps the
-  /// plain cold-leader behavior. Requires morsel_rows > 0. Off by default:
+  /// Only plans with a spine (aggregate-rooted pipelines, see
+  /// engine::HasSpine) take this path; everything else keeps the plain
+  /// cold-leader behavior. Off by default:
   /// the interpreted prefix costs one core that a saturated server may not
   /// want to spend on already-answered work.
   bool midquery_switch = DefaultMidquerySwitch();
@@ -506,13 +507,18 @@ class QueryService {
                             ServiceResult::Path path, const Fingerprint& fp,
                             const plan::ParamVec* params,
                             obs::SpanList* spans);
+  /// One compiled execution off a fresh dispenser of at most morsel_rows
+  /// rows per morsel (CompiledQuery::MorselRows) — what every compiled
+  /// request, and every explorer timing, runs.
+  compile::CompiledQuery::RunResult RunEntry(
+      const compile::CompiledQuery& query, const plan::ParamVec* params) const;
   ServiceResult RunInterp(const plan::Query& q,
                           const engine::EngineOptions& eopts,
                           const Fingerprint& fp,
                           const plan::ParamVec* params,
                           std::string compile_error, obs::SpanList* spans);
-  /// The cold-leader body under ServiceOptions::midquery_switch for a
-  /// morsel-eligible plan: kicks the JIT onto a background thread (which
+  /// The cold-leader body under ServiceOptions::midquery_switch for a plan
+  /// with a spine: kicks the JIT onto a background thread (which
   /// publishes `flight` exactly like a plain leader), runs the interpreted
   /// prefix over the shared dispenser, and either returns the interpreter's
   /// complete answer (the build keeps running; the cache warms behind the

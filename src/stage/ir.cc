@@ -40,7 +40,7 @@ std::string CModule::Emit() const {
   // the fields. `params` carries the literals bound at Run() for
   // parameterized plans (unused, and left null, for modules staged without
   // parameter references); `morsels` points at the shared morsel dispenser
-  // when the run is morsel-driven, null for the static range split.
+  // the spine claims from (never null, morsel_rows > 0).
   out += "typedef struct {\n";
   out += "  void** env;\n";
   out += "  lb2_out* out;\n";

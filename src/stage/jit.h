@@ -57,8 +57,9 @@ struct MorselSource {
 /// code. One context per execution makes the entry fully reentrant.
 /// `params` points at `lb2_param_count` bound literals for parameterized
 /// modules (may stay null when the module references no parameter slots);
-/// `morsels` points at the shared dispenser for morsel-driven runs (null
-/// selects the static per-thread range split inside generated code).
+/// `morsels` points at the shared dispenser the spine claims row ranges
+/// from — never null, with morsel_rows > 0 (CompiledQuery::Run binds a
+/// fresh one when its caller passes none).
 struct ExecCtxHeader {
   void** env = nullptr;
   QueryOut* out = nullptr;

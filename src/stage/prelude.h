@@ -49,11 +49,11 @@ typedef struct {
   int64_t tid;
 } lb2_thread_arg;
 
-/* Shared morsel dispenser for morsel-driven pipelines. When non-null in the
-   execution context, driver loops claim fixed-size row ranges (morsels) via
-   an atomic fetch-add on `next` instead of splitting the scan statically per
-   thread — idle workers steal the next morsel, and an interpreted prefix and
-   a compiled suffix of the same query can drain one dispenser across a
+/* Shared morsel dispenser for morsel-driven pipelines. The execution
+   context always points at one (never null, morsel_rows > 0): spine scans
+   claim fixed-size row ranges (morsels) via an atomic fetch-add on `next` —
+   idle workers steal the next morsel, and an interpreted prefix and a
+   compiled suffix of the same query can drain one dispenser across a
    mid-query switch. `seed` optionally carries partial aggregate state
    exported by an interpreted prefix (seed_rows flat i64 rows; doubles as bit
    patterns, strings as (ptr,len) slot pairs into host-owned storage), folded

@@ -12,19 +12,27 @@
 //    chaos schedules (random stop boundary, varying morsel size) must show
 //    every morsel index claimed exactly once across the two engines.
 //  * Work stealing: a table whose selected (expensive) rows all live in one
-//    thread's static range must scale when the same artifact runs off the
-//    dispenser instead of the static split. The ≥1.5× ratio is asserted
-//    only on ≥4 hardware threads and outside TSan (timing under the
-//    sanitizer or on a single core proves nothing); correctness and the
-//    exactly-once claim ledger are asserted unconditionally.
+//    eighth of the range must scale when the same artifact runs off small
+//    morsels instead of one morsel per thread (the static-split baseline:
+//    whoever claims morsel 0 gets every hot row). The ≥1.5× ratio is
+//    asserted only on ≥4 hardware threads and outside TSan (timing under
+//    the sanitizer or on a single core proves nothing); correctness and
+//    the exactly-once claim ledger are asserted unconditionally.
+//  * Small spines: a parallel run shrinks its morsels so every lane has
+//    some, and an interpreted prefix stopped inside any of its four
+//    lanes hands the merged lanes to a 4-lane compiled suffix.
+//  * A zero-size dispenser is rejected, never spun on, and the
+//    LB2_MORSEL_ROWS knob keeps its default for values <= 0.
 //
 // Carries the ctest label `morsel`; the CI `morsel` lane runs it under
-// ThreadSanitizer together with the fuzz suites.
+// ThreadSanitizer together with the fuzz and tpch suites.
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +42,7 @@
 #include "engine/morsel.h"
 #include "engine/parallel.h"
 #include "obs/recorder.h"
+#include "scoped_env.h"
 #include "service/service.h"
 #include "testing/faults.h"
 #include "tpch/answers.h"
@@ -69,30 +78,6 @@ std::string MakeTempDir() {
   EXPECT_NE(dir, nullptr);
   return dir == nullptr ? std::string() : std::string(dir);
 }
-
-/// Scoped env var (LB2_SWITCH_AT is read per request): set on entry,
-/// restored on scope exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* key, const std::string& value) : key_(key) {
-    const char* old = getenv(key);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv(key, value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      setenv(key_, saved_.c_str(), 1);
-    } else {
-      unsetenv(key_);
-    }
-  }
-
- private:
-  const char* key_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 class MorselTest : public ::testing::Test {
  protected:
@@ -305,7 +290,7 @@ TEST_F(MorselTest, NonEligiblePlansKeepThePlainColdPath) {
   using namespace plan;  // NOLINT
   Query q{{}, OrderBy(Filter(Scan("customer"), Gt(Col("c_acctbal"), D(0.0))),
                       {{"c_custkey", true}})};
-  ASSERT_FALSE(engine::MorselEligible(q));
+  ASSERT_FALSE(engine::HasSpine(q));
   ScopedEnv at("LB2_SWITCH_AT", "0");
   ServiceOptions sopts;
   sopts.cache_dir = "";
@@ -381,8 +366,8 @@ TEST_F(MorselTest, WorkStealingBeatsStaticSplitOnSkewedCosts) {
   // All the selected (expensive) rows live in the first eighth of the
   // table — exactly one thread's share under an 8-way static split, so
   // seven threads finish almost immediately and the wall clock is one
-  // thread's. Off the shared dispenser the hot morsels spread across
-  // whoever is free.
+  // thread's. Off small morsels the hot ones spread across whoever is
+  // free.
   rt::Database db;
   schema::Schema s{{"k", schema::FieldKind::kInt64},
                    {"a", schema::FieldKind::kDouble},
@@ -407,7 +392,7 @@ TEST_F(MorselTest, WorkStealingBeatsStaticSplitOnSkewedCosts) {
                        "s2"),
                    Sum(Mul(Col("a"), Col("a")), "s3"),
                    Sum(Mul(Col("b"), Col("b")), "s4"), CountStar("n")})};
-  ASSERT_TRUE(engine::MorselEligible(q));
+  ASSERT_TRUE(engine::HasSpine(q));
   std::string oracle = volcano::Execute(q, db);
   engine::EngineOptions copts;
   copts.num_threads = 8;
@@ -415,6 +400,9 @@ TEST_F(MorselTest, WorkStealingBeatsStaticSplitOnSkewedCosts) {
 
   const int64_t morsel_rows = 4096;
   const int64_t n = (kRows + morsel_rows - 1) / morsel_rows;
+  // The static-split baseline on the very same artifact: one morsel per
+  // thread, so whichever thread claims morsel 0 gets every hot row.
+  const int64_t split_rows = (kRows + 7) / 8;
   {
     // Correctness + exactly-once under the 8-thread stealing run.
     engine::MorselRun run(morsel_rows);
@@ -426,12 +414,17 @@ TEST_F(MorselTest, WorkStealingBeatsStaticSplitOnSkewedCosts) {
           << "morsel " << i;
     }
   }
-  // The very same artifact with a null dispenser: classic static split.
-  ASSERT_EQ(tpch::DiffResults(oracle, cq.Run().text, false), "");
+  {
+    engine::MorselRun split(split_rows);
+    ASSERT_EQ(tpch::DiffResults(oracle, cq.Run(nullptr, &split.source).text,
+                                false),
+              "");
+  }
 
   double static_ms = 1e300, steal_ms = 1e300;
   for (int rep = 0; rep < 5; ++rep) {
-    static_ms = std::min(static_ms, cq.Run().exec_ms);
+    engine::MorselRun split(split_rows);
+    static_ms = std::min(static_ms, cq.Run(nullptr, &split.source).exec_ms);
     engine::MorselRun run(morsel_rows);
     steal_ms = std::min(steal_ms, cq.Run(nullptr, &run.source).exec_ms);
   }
@@ -452,14 +445,14 @@ TEST_F(MorselTest, WorkStealingBeatsStaticSplitOnSkewedCosts) {
 // -- Warm-path dispenser ------------------------------------------------------
 
 TEST_F(MorselTest, WarmCompiledRequestsRunOffTheDispenser) {
-  // With morsel_rows > 0 every compiled execution — not just switches —
-  // pulls from a fresh dispenser, so multi-thread warm requests get work
-  // stealing too. Differentially check a warm request against the oracle
-  // and the switch-off configuration.
+  // Every compiled execution — not just switches — pulls from a fresh
+  // dispenser, so multi-thread warm requests get work stealing too.
+  // Differentially check cold and warm requests against the oracle, with
+  // small morsels (several per thread) and the default size.
   plan::Query q = Q1Shape();
   std::string oracle = volcano::Execute(q, *db_);
   bool ordered = tpch::OrderSensitive(q);
-  for (int64_t morsel_rows : {int64_t{0}, kMorselRows}) {
+  for (int64_t morsel_rows : {kMorselRows, engine::kDefaultMorselRows}) {
     ServiceOptions sopts;
     sopts.cache_dir = "";
     sopts.morsel_rows = morsel_rows;
@@ -474,6 +467,111 @@ TEST_F(MorselTest, WarmCompiledRequestsRunOffTheDispenser) {
     EXPECT_EQ(warm.path, ServiceResult::Path::kCompiledCached);
     EXPECT_EQ(tpch::DiffResults(oracle, warm.text, ordered), "")
         << "warm, morsel_rows=" << morsel_rows;
+  }
+}
+
+// -- Morsel size on small spines ----------------------------------------------
+
+TEST_F(MorselTest, SmallSpinesSpreadOverEveryLane) {
+  // A parallel run shrinks its morsels to LaneMorselCap, so a spine far
+  // below kDefaultMorselRows × threads still hands every lane morsels; one
+  // thread, or a plan without a spine, keeps the configured size.
+  using namespace plan;  // NOLINT
+  const int64_t rows = db_->table("lineitem").num_rows();
+  const int64_t lanes = 4;
+  const int64_t cap = (rows + engine::kMorselsPerLane * lanes - 1) /
+                      (engine::kMorselsPerLane * lanes);
+  const int64_t none = std::numeric_limits<int64_t>::max();
+  // Per-group MIN/MAX/SUM/COUNT: lanes that saw the same key must merge.
+  plan::Query q = {{}, OrderBy(GroupBy(Scan("lineitem"), {"f"},
+                                       {Col("l_returnflag")},
+                                       {Min(Col("l_extendedprice"), "lo"),
+                                        Max(Col("l_extendedprice"), "hi"),
+                                        Sum(Col("l_quantity"), "sq"),
+                                        CountStar("n")}),
+                               {{"f", true}})};
+  plan::Query no_spine = {{}, OrderBy(Scan("region"), {{"r_name", true}})};
+  EXPECT_EQ(engine::LaneMorselCap(q, *db_, static_cast<int>(lanes)), cap);
+  EXPECT_EQ(engine::LaneMorselCap(q, *db_, 1), none);
+  EXPECT_EQ(engine::LaneMorselCap(no_spine, *db_, 4), none);
+  engine::EngineOptions copts;
+  copts.num_threads = static_cast<int>(lanes);
+  auto cq = compile::CompileQuery(q, *db_, copts, "morsellanes");
+  EXPECT_EQ(cq.MorselRows(engine::kDefaultMorselRows),
+            std::min(engine::kDefaultMorselRows, cap));
+  auto cq1 = compile::CompileQuery(q, *db_, {}, "morsellanes1");
+  EXPECT_EQ(cq1.MorselRows(engine::kDefaultMorselRows),
+            engine::kDefaultMorselRows);
+
+  std::string oracle = volcano::Execute(q, *db_);
+  EXPECT_EQ(tpch::DiffResults(oracle, cq.Run().text, true), "");
+  // The interpreter runs a region's lanes one after another, each taking
+  // its fair share of the unclaimed morsels. A prefix stopped at boundary
+  // k has filled the lanes before k's and part of k's own; its seed is
+  // exported after the lane merge, and a 4-lane compiled suffix folds it
+  // in and finishes — every split must still answer like the oracle, and
+  // claim every morsel exactly once.
+  const int64_t n = (rows + cap - 1) / cap;
+  for (int64_t k : {int64_t{0}, n / 4 + 1, n / 2 + 1, n - 1, n + 1}) {
+    SCOPED_TRACE("stop at boundary " + std::to_string(k));
+    engine::MorselRun run(cap);
+    run.EnableClaims(n);
+    run.stop_poll = [&run, k] { return run.claimed >= k; };
+    engine::EngineOptions iopts;
+    iopts.num_threads = static_cast<int>(lanes);
+    auto interp = engine::ExecuteInterp(q, *db_, iopts, nullptr, &run);
+    std::string text = interp.text;
+    if (run.stopped) {
+      run.SealSeed();
+      text = cq.Run(nullptr, &run.source).text;
+    }
+    EXPECT_EQ(run.stopped, k <= n);
+    EXPECT_EQ(tpch::DiffResults(oracle, text, true), "");
+    for (int64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(run.claim_storage[static_cast<size_t>(i)].load(), 1)
+          << "morsel " << i << " of " << n;
+    }
+  }
+}
+
+// -- Zero-size dispensers -----------------------------------------------------
+
+TEST_F(MorselTest, ZeroSizeDispenserIsRejectedNotSpun) {
+  // A morsel of zero rows never advances the claim loop, so a caller that
+  // hands one in must be stopped at the door rather than hang the query.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  plan::Query q = Q6Shape();
+  auto cq = compile::CompileQuery(q, *db_, {}, "morselzero");
+  engine::MorselRun zero(0);
+  EXPECT_DEATH(cq.Run(nullptr, &zero.source), "morsel_rows > 0");
+  EXPECT_DEATH(engine::ExecuteInterp(q, *db_, {}, nullptr, &zero),
+               "morsel_rows > 0");
+  ServiceOptions sopts;
+  sopts.cache_dir = "";
+  sopts.morsel_rows = 0;
+  EXPECT_DEATH({ QueryService svc(*db_, sopts); }, "morsel_rows must be > 0");
+  // The defaults every caller that passes no dispenser gets.
+  EXPECT_EQ(engine::MorselRun().source.morsel_rows,
+            engine::kDefaultMorselRows);
+  std::string oracle = volcano::Execute(q, *db_);
+  EXPECT_EQ(tpch::DiffResults(oracle, cq.Run().text, false), "");
+  EXPECT_EQ(tpch::DiffResults(oracle, engine::ExecuteInterp(q, *db_).text,
+                              false),
+            "");
+}
+
+TEST(MorselKnobTest, MorselRowsEnvKeepsDefaultForNonPositiveValues) {
+  {
+    ScopedEnv env("LB2_MORSEL_ROWS", "512");
+    EXPECT_EQ(service::DefaultMorselRows(), 512);
+  }
+  for (const char* bad : {"0", "-4096", "rows"}) {
+    ScopedEnv env("LB2_MORSEL_ROWS", bad);
+    EXPECT_EQ(service::DefaultMorselRows(), engine::kDefaultMorselRows)
+        << "LB2_MORSEL_ROWS=" << bad;
+  }
+  if (getenv("LB2_MORSEL_ROWS") == nullptr) {
+    EXPECT_EQ(service::DefaultMorselRows(), engine::kDefaultMorselRows);
   }
 }
 

@@ -34,6 +34,7 @@
 #include "net/listener.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "scoped_env.h"
 #include "service/service.h"
 #include "sql/sql.h"
 #include "tpch/dbgen.h"
@@ -620,30 +621,6 @@ TEST_F(NetServerTest, AdminPortServesMetricsStatsHealthOverRawHttp) {
             std::string::npos);
   EXPECT_GE(lb.server->stats().admin_requests, 5);
 }
-
-// Scoped env var for the recorder/trace knobs (read at server
-// construction): set for one Loopback, restored on scope exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* key, const char* value) : key_(key) {
-    const char* old = getenv(key);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv(key, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      setenv(key_, saved_.c_str(), 1);
-    } else {
-      unsetenv(key_);
-    }
-  }
-
- private:
-  const char* key_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 TEST_F(NetServerTest, TraceIdEchoedOnV2AndAssignedWhenAbsent) {
   Loopback lb(*db_);

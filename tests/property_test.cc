@@ -11,6 +11,10 @@
 //    predicates and OrderBy/Limit tails, each executed under
 //    use_dict ∈ {off, on} × num_threads ∈ {1, 4}, must agree with the
 //    Volcano oracle row-for-row.
+//  * DAG fuzzing: plans that reuse one generated subtree in two places —
+//    both sides of a join (TPC-H Q17's Join(GroupBy(shared), shared)) and
+//    inside a scalar subquery — must agree across engines at 1 and 4
+//    threads, and across an interpreted→compiled handoff on one dispenser.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,6 +24,7 @@
 #include "compile/lb2_compiler.h"
 #include "engine/exec.h"
 #include "engine/interp_backend.h"
+#include "engine/morsel.h"
 #include "plan/plan.h"
 #include "service/fingerprint.h"
 #include "tpch/answers.h"
@@ -163,6 +168,57 @@ struct RandomPlanner {
     PlanRef g = GroupBy(p, {"k"}, {Col(s.field(key).name)}, aggs);
     return {{}, g};
   }
+
+  /// Random plan that reuses ONE generated PlanRef in two places, the
+  /// shapes real queries use: shape 0 joins a per-key aggregate of the
+  /// shared subtree back to it (Q17's Join(GroupBy(shared), shared)),
+  /// shape 1 filters the shared subtree against a scalar subquery over it
+  /// (Q11/Q15/Q22), shape 2 does both. The shared subtree is a filtered
+  /// scan, or for lineitem sometimes itself a join (Q17's part ⋈ lineitem).
+  Query RandomDagQuery(const rt::Database& db) {
+    struct Source {
+      const char* table;
+      const char* key;  // int64 join/group key
+      const char* val;  // double measure
+    };
+    static constexpr Source kSources[] = {
+        {"lineitem", "l_partkey", "l_quantity"},
+        {"orders", "o_custkey", "o_totalprice"},
+        {"partsupp", "ps_partkey", "ps_supplycost"},
+        {"customer", "c_nationkey", "c_acctbal"}};
+    const Source& src = kSources[Pick(4)];
+    PlanRef shared = Scan(src.table);
+    schema::Schema s = db.table(src.table).schema();
+    for (int i = Pick(3); i > 0; --i) shared = Filter(shared, RandomPred(s));
+    if (std::string(src.table) == "lineitem" && Pick(2)) {
+      PlanRef part =
+          Filter(Scan("part"), RandomPred(tpch::TableSchema("part")));
+      shared = Join(part, shared, {"p_partkey"}, {"l_partkey"});
+    }
+    const int shape = Pick(3);
+    Query q;
+    PlanRef main = shared;
+    if (shape != 0) {
+      // Keep rows above half the shared maximum.
+      q.scalar_subqueries.push_back(
+          ScalarAggPlan(shared, {Max(Col(src.val), "mx")}));
+      main = Filter(main, Gt(Mul(Col(src.val), D(2.0)), ScalarRef(0)));
+    }
+    if (shape != 1) {
+      PlanRef per_key = GroupBy(shared, {"g_key"}, {Col(src.key)},
+                                {Sum(Col(src.val), "g_sum"),
+                                 CountStar("g_cnt")});
+      // Optionally Q17's residual: keep rows below their key's average.
+      ExprRef residual =
+          Pick(2) ? Lt(Mul(Col(src.val), Col("g_cnt")), Col("g_sum"))
+                  : nullptr;
+      main = Join(per_key, main, {"g_key"}, {src.key}, residual);
+    }
+    std::vector<AggSpec> aggs = {CountStar("n"), Sum(Col(src.val), "s")};
+    q.root = Pick(2) ? ScalarAggPlan(main, aggs)
+                     : GroupBy(main, {"k"}, {Col(src.key)}, aggs);
+    return q;
+  }
 };
 
 TEST_P(PropertyTest, RandomAggregatePlansAgreeAcrossEngines) {
@@ -203,6 +259,46 @@ TEST_P(PropertyTest, RandomJoinPlansAgreeAcrossEngines) {
                                   "propj" + std::to_string(GetParam()));
   EXPECT_EQ(tpch::DiffResults(oracle, cq.Run().text, false), "")
       << "compiled" << FuzzShape(q, GetParam(), 0);
+}
+
+TEST_P(PropertyTest, SharedSubtreePlansAgreeAcrossEngines) {
+  RandomPlanner planner(GetParam() * 4099 + 13);
+  int rounds = FuzzRounds(2, 12);
+  for (int round = 0; round < rounds; ++round) {
+    Query q = planner.RandomDagQuery(*db_);
+    std::string oracle = volcano::Execute(q, *db_);
+    for (int threads : {1, 4}) {
+      engine::EngineOptions opts;
+      opts.num_threads = threads;
+      auto interp = engine::ExecuteInterp(q, *db_, opts);
+      ASSERT_EQ(tpch::DiffResults(oracle, interp.text, false), "")
+          << "interp threads " << threads << FuzzShape(q, GetParam(), round);
+      auto cq = compile::CompileQuery(
+          q, *db_, opts,
+          "propdag" + std::to_string(GetParam()) + "_" +
+              std::to_string(round) + "_t" + std::to_string(threads));
+      ASSERT_EQ(tpch::DiffResults(oracle, cq.Run().text, false), "")
+          << "compiled threads " << threads
+          << FuzzShape(q, GetParam(), round);
+      // A handoff on one dispenser: an interpreted prefix stops at a
+      // random morsel boundary and the compiled build finishes the rest.
+      // Only the spine may claim morsels — a shared subtree built on a
+      // build side or in a scalar subquery would drain them.
+      const int64_t stop_at = planner.Pick(8);
+      engine::MorselRun run(1024);
+      run.stop_poll = [&run, stop_at] { return run.claimed >= stop_at; };
+      engine::EngineOptions iopts;
+      auto prefix = engine::ExecuteInterp(q, *db_, iopts, nullptr, &run);
+      std::string text = prefix.text;
+      if (run.stopped) {
+        run.SealSeed();
+        text = cq.Run(nullptr, &run.source).text;
+      }
+      ASSERT_EQ(tpch::DiffResults(oracle, text, false), "")
+          << "handoff at morsel " << stop_at << " (stopped=" << run.stopped
+          << ") threads " << threads << FuzzShape(q, GetParam(), round);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertyTest, ::testing::Range(1, 13));
