@@ -50,7 +50,8 @@
 #                            #   --trace-out; the switch path runs live
 #                            #   (LB2_MIDQUERY_SWITCH=1, small morsels) and
 #                            #   lb2_midquery_switches_total >= 1 is
-#                            #   asserted post-load
+#                            #   asserted post-load, and the post-drain
+#                            #   stats line must read in-flight=0
 #   scripts/ci.sh bench      # same-entry scaling + cold-process disk win
 #                            #   -> BENCH_service.json, plus the obs
 #                            #   overhead gate (metrics on vs off, faults
@@ -290,6 +291,14 @@ EOF
   kill -TERM "$server_pid"
   wait "$server_pid"     # non-zero if the drain was not clean
   grep -q "drained." "$dir/server.log"
+  # Every flight was published, repairs that chaos made fail included: the
+  # post-drain stats line reads in-flight=0 (the field itself, not
+  # exec-in-flight=).
+  if ! grep -Eq '^service: .* in-flight=0 ' "$dir/server.log"; then
+    echo "flights still open after the drain:" >&2
+    grep '^service: ' "$dir/server.log" >&2
+    exit 1
+  fi
   # The SIGTERM drain must have flushed the kept traces to --trace-out.
   [ -s "$dir/traces.json" ]
   grep -q '"traceEvents"' "$dir/traces.json"

@@ -1,9 +1,14 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <limits>
+#include <thread>
+#include <type_traits>
 #include <utility>
 
 #ifdef __linux__
@@ -24,31 +29,56 @@
 
 namespace lb2::service {
 
-size_t DefaultCacheCapacity() {
-  const char* env = std::getenv("LB2_CACHE_CAPACITY");
-  if (env != nullptr) {
-    long v = std::atol(env);
-    if (v >= 1) return static_cast<size_t>(v);
+namespace {
+
+/// The numeric knob `name`, or `def` when it is unset. A value that is not
+/// a number of T at or above `min` ("abc", "1s", "-4") keeps `def` and logs
+/// a warning. Integers parse in base 10 only.
+template <typename T>
+T EnvNumber(const char* name, T def, T min) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return def;
+  errno = 0;
+  char* end = nullptr;
+  const long double v =
+      std::is_integral_v<T>
+          ? static_cast<long double>(std::strtoll(env, &end, 10))
+          : std::strtold(env, &end);
+  if (end == env || *end != '\0' || errno != 0 || !(v >= min) ||
+      v > static_cast<long double>(std::numeric_limits<T>::max())) {
+    LB2_LOG(Warn, "[lb2-service] ignoring %s=%s: want a number >= %g; "
+            "keeping %g", name, env, static_cast<double>(min),
+            static_cast<double>(def));
+    return def;
   }
-  return 64;
+  return static_cast<T>(v);
 }
 
-int DefaultMaxInflight() {
-  const char* env = std::getenv("LB2_MAX_INFLIGHT");
-  if (env != nullptr) {
-    long v = std::atol(env);
-    if (v >= 0) return static_cast<int>(v);
-  }
-  return 0;
+/// The on/off knob `name`, or `def` when it is unset: 1/0, true/false,
+/// on/off or yes/no in any case. Anything else keeps `def` and logs a
+/// warning.
+bool EnvFlag(const char* name, bool def) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return def;
+  std::string v = env;
+  for (char& c : v) c = static_cast<char>(std::tolower(c));
+  if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
+  if (v == "0" || v == "false" || v == "off" || v == "no") return false;
+  LB2_LOG(Warn, "[lb2-service] ignoring %s=%s: want 1/0, true/false, "
+          "on/off or yes/no; keeping %s", name, env, def ? "on" : "off");
+  return def;
 }
+
+}  // namespace
+
+size_t DefaultCacheCapacity() {
+  return EnvNumber<size_t>("LB2_CACHE_CAPACITY", 64, 1);
+}
+
+int DefaultMaxInflight() { return EnvNumber("LB2_MAX_INFLIGHT", 0, 0); }
 
 double DefaultQueueTimeoutMs() {
-  const char* env = std::getenv("LB2_QUEUE_TIMEOUT_MS");
-  if (env != nullptr) {
-    double v = std::atof(env);
-    if (v >= 0) return v;
-  }
-  return 100.0;
+  return EnvNumber("LB2_QUEUE_TIMEOUT_MS", 100.0, 0.0);
 }
 
 std::string DefaultCacheDir() {
@@ -57,86 +87,32 @@ std::string DefaultCacheDir() {
 }
 
 int64_t DefaultCacheDiskBytes() {
-  const char* env = std::getenv("LB2_CACHE_DISK_BYTES");
-  if (env != nullptr) {
-    long long v = std::atoll(env);
-    if (v >= 0) return static_cast<int64_t>(v);
-  }
-  return 0;
+  return EnvNumber<int64_t>("LB2_CACHE_DISK_BYTES", 0, 0);
 }
 
-bool DefaultMetricsEnabled() {
-  const char* env = std::getenv("LB2_METRICS");
-  if (env == nullptr) return true;
-  std::string v = env;
-  return !(v == "0" || v == "false" || v == "off" || v == "no");
-}
+bool DefaultMetricsEnabled() { return EnvFlag("LB2_METRICS", true); }
 
-int DefaultCcRetries() {
-  const char* env = std::getenv("LB2_CC_RETRIES");
-  if (env != nullptr) {
-    long v = std::atol(env);
-    if (v >= 0) return static_cast<int>(v);
-  }
-  return 2;
-}
+int DefaultCcRetries() { return EnvNumber("LB2_CC_RETRIES", 2, 0); }
 
 int DefaultBreakerFailures() {
-  const char* env = std::getenv("LB2_BREAKER_FAILURES");
-  if (env != nullptr) {
-    long v = std::atol(env);
-    if (v >= 0) return static_cast<int>(v);
-  }
-  return 3;
+  return EnvNumber("LB2_BREAKER_FAILURES", 3, 0);
 }
 
 double DefaultDiskCooldownMs() {
-  const char* env = std::getenv("LB2_DISK_COOLDOWN_MS");
-  if (env != nullptr) {
-    double v = std::atof(env);
-    if (v >= 0) return v;
-  }
-  return 1000.0;
+  return EnvNumber("LB2_DISK_COOLDOWN_MS", 1000.0, 0.0);
 }
 
-bool DefaultParamsEnabled() {
-  const char* env = std::getenv("LB2_PARAMS");
-  if (env == nullptr) return true;
-  std::string v = env;
-  return !(v == "0" || v == "false" || v == "off" || v == "no");
-}
+bool DefaultParamsEnabled() { return EnvFlag("LB2_PARAMS", true); }
 
-bool DefaultExploreEnabled() {
-  const char* env = std::getenv("LB2_EXPLORE");
-  if (env == nullptr) return false;
-  std::string v = env;
-  return v == "1" || v == "true" || v == "on" || v == "yes";
-}
+bool DefaultExploreEnabled() { return EnvFlag("LB2_EXPLORE", false); }
 
-int DefaultProfSampleEvery() {
-  const char* env = std::getenv("LB2_PROF_SAMPLE");
-  if (env != nullptr) {
-    long v = std::atol(env);
-    if (v >= 0) return static_cast<int>(v);
-  }
-  return 0;
-}
+int DefaultProfSampleEvery() { return EnvNumber("LB2_PROF_SAMPLE", 0, 0); }
 
 int64_t DefaultMorselRows() {
-  const char* env = std::getenv("LB2_MORSEL_ROWS");
-  if (env != nullptr) {
-    long long v = std::atoll(env);
-    if (v >= 1) return static_cast<int64_t>(v);
-  }
-  return engine::kDefaultMorselRows;
+  return EnvNumber<int64_t>("LB2_MORSEL_ROWS", engine::kDefaultMorselRows, 1);
 }
 
-bool DefaultMidquerySwitch() {
-  const char* env = std::getenv("LB2_MIDQUERY_SWITCH");
-  if (env == nullptr) return false;
-  std::string v = env;
-  return v == "1" || v == "true" || v == "on" || v == "yes";
-}
+bool DefaultMidquerySwitch() { return EnvFlag("LB2_MIDQUERY_SWITCH", false); }
 
 bool ParseFlavorSpec(const std::string& spec, engine::Flavor* flavor,
                      uint64_t* blend) {
@@ -204,7 +180,7 @@ const char* StatusName(ServiceResult::Status s) {
 std::string ServiceStats::ToString() const {
   return StrPrintf(
       "requests=%lld hits=%lld misses=%lld compiles=%lld failures=%lld "
-      "coalesced=%lld interp-while-compiling=%lld interp-fallbacks=%lld "
+      "interp-while-compiling=%lld interp-fallbacks=%lld "
       "in-flight=%lld exec-in-flight=%lld admitted=%lld queued=%lld "
       "busy=%lld entries=%lld bytes=%lld evictions=%lld "
       "compile-ms saved=%.0f paid=%.0f "
@@ -219,7 +195,6 @@ std::string ServiceStats::ToString() const {
       static_cast<long long>(requests), static_cast<long long>(hits),
       static_cast<long long>(misses), static_cast<long long>(compiles),
       static_cast<long long>(compile_failures),
-      static_cast<long long>(coalesced_waits),
       static_cast<long long>(interp_while_compiling),
       static_cast<long long>(interp_fallbacks),
       static_cast<long long>(in_flight),
@@ -283,20 +258,7 @@ QueryService::QueryService(const rt::Database& db, ServiceOptions opts)
   }
 }
 
-QueryService::~QueryService() {
-  {
-    // Outwait detached mid-query-switch builds: they touch the cache, the
-    // store and the stats, all of which die with this object.
-    std::unique_lock<std::mutex> lock(sw_mu_);
-    sw_cv_.wait(lock, [&] { return sw_builds_ == 0; });
-  }
-  {
-    std::lock_guard<std::mutex> lock(bg_mu_);
-    bg_stop_ = true;
-  }
-  bg_cv_.notify_all();
-  if (bg_thread_.joinable()) bg_thread_.join();
-}
+QueryService::~QueryService() { DrainBackground(); }
 
 compile::CompiledQuery::RunResult QueryService::RunEntry(
     const compile::CompiledQuery& query, const plan::ParamVec* params) const {
@@ -546,11 +508,12 @@ ServiceResult QueryService::ExecuteAdmitted(const plan::Query& q,
                        params, spans);
   }
 
-  // Cold path: join or start the single flight for this fingerprint — or,
-  // if this plan shape is cached under a *different* database identity,
-  // take the drift path: serve interpreted now, recompile in the background.
+  // Cold path: join or start the flight for this fingerprint. A shape
+  // cached under a *different* database identity (drift) or an open
+  // circuit breaker turns the flight into a background repair: this request
+  // is served interpreted either way.
   std::shared_ptr<InFlight> flight;
-  bool leader = false;
+  bool started = false;
   bool drift = false;
   bool breaker = false;
   uint64_t stale_key = 0;
@@ -558,31 +521,24 @@ ServiceResult QueryService::ExecuteAdmitted(const plan::Query& q,
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Re-check the cache under mu_: a leader may have finished between the
-    // miss above and here, in which case its in-flight record is already
-    // gone and we must not start a second compile.
+    // miss above and here, in which case its flight is already gone and we
+    // must not start a second compile.
     rechecked = cache_.Get(fp);
-    if (rechecked == nullptr && breaker_open_.count(fp.hash) != 0) {
+    if (rechecked == nullptr) {
       // Circuit breaker open for this fingerprint: the compile keeps
       // failing, so stop burning foreground cc attempts on it.
-      breaker = true;
-    } else if (rechecked == nullptr) {
+      breaker = breaker_open_.count(fp.hash) != 0;
       auto sit = shape_to_key_.find(fp.shape);
-      if (opts_.background_recompile && sit != shape_to_key_.end() &&
-          sit->second != fp.hash) {
-        // Database-identity drift: the shape index still points at the old
-        // key until the background build lands, so every drifted request
-        // funnels here (interpreted) instead of blocking on a foreground cc.
-        drift = true;
-        stale_key = sit->second;
-      } else {
-        auto it = inflight_.find(fp.hash);
-        if (it != inflight_.end()) {
-          flight = it->second;
-        } else {
-          flight = std::make_shared<InFlight>();
-          inflight_[fp.hash] = flight;
-          leader = true;
-        }
+      // Database-identity drift: the shape index still points at the old
+      // key until the repair lands, so every drifted request funnels here
+      // (interpreted) instead of blocking on a foreground cc.
+      drift = !breaker && opts_.background_recompile &&
+              sit != shape_to_key_.end() && sit->second != fp.hash;
+      if (drift) stale_key = sit->second;
+      // Join or start the flight, unless that would start a repair in a
+      // draining service.
+      if (!(breaker || drift) || !draining_.load(std::memory_order_relaxed)) {
+        flight = JoinOrStartLocked(fp, &started);
       }
     }
   }
@@ -594,165 +550,73 @@ ServiceResult QueryService::ExecuteAdmitted(const plan::Query& q,
                        params, spans);
   }
 
-  if (breaker) {
-    // Serve interpreted immediately and keep one low-priority background
-    // rebuild in flight (the drift worker doubles as the repair worker);
-    // its first success closes the breaker.
-    stats_.breaker_served.fetch_add(1, std::memory_order_relaxed);
-    if (EnqueueDriftRecompile(q, eopts, fp)) {
-      stats_.breaker_rebuilds.fetch_add(1, std::memory_order_relaxed);
+  if (breaker || drift) {
+    if (drift) {
+      // Retire the stale entry so it can never serve drifted data (harmless
+      // if a concurrent drifted request already did; in-flight executions
+      // of it finish on their own shared_ptrs).
+      Fingerprint stale;
+      stale.hash = stale_key;
+      cache_.Erase(stale);
     }
+    if (started) {
+      // The first successful repair closes the breaker or ends the drift.
+      BuildInBackground(q, eopts, fp, flight, /*repair=*/true);
+      (breaker ? stats_.breaker_rebuilds : stats_.drift_recompiles)
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+    (breaker ? stats_.breaker_served : stats_.interp_while_compiling)
+        .fetch_add(1, std::memory_order_relaxed);
     ServiceResult r = RunInterp(q, eopts, fp, params, "", spans);
-    r.breaker_degraded = true;
+    r.breaker_degraded = breaker;
     return r;
   }
 
-  if (drift) {
-    stats_.interp_while_compiling.fetch_add(1, std::memory_order_relaxed);
-    // Retire the stale entry so it can never serve drifted data (harmless
-    // if a concurrent drifted request already did; in-flight executions of
-    // it finish on their own shared_ptrs).
-    Fingerprint stale;
-    stale.hash = stale_key;
-    cache_.Erase(stale);
-    if (EnqueueDriftRecompile(q, eopts, fp)) {
-      stats_.drift_recompiles.fetch_add(1, std::memory_order_relaxed);
-    }
-    return RunInterp(q, eopts, fp, params, "", spans);
-  }
-
-  if (leader) {
-    stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    stats_.in_flight.fetch_add(1, std::memory_order_relaxed);
-    if (opts_.midquery_switch && !eopts.profile && engine::HasSpine(q)) {
-      // Hybrid cold start: interpret over the shared morsel dispenser now,
-      // JIT in the background, hand off at a morsel boundary if the
-      // compiled entry lands mid-query.
-      return RunMorselSwitch(q, eopts, fp, params, spans, flight);
-    }
-    std::string error;
-    bool from_disk = false;
-    CacheEntryPtr entry = BuildEntry(q, eopts, fp, &error, &from_disk, spans);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      inflight_.erase(fp.hash);
-    }
-    stats_.in_flight.fetch_add(-1, std::memory_order_relaxed);
-    if (entry == nullptr) {
-      stats_.interp_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    }
-    {
-      std::lock_guard<std::mutex> flock(flight->mu);
-      flight->done = true;
-      flight->entry = entry;
-      flight->error = error;
-    }
-    flight->cv.notify_all();
-    if (entry == nullptr) {
-      if (opts_.log_compile_errors) {
-        LB2_LOG(Warn, "[lb2-service] %s: JIT failed, serving interpreted:\n%s",
-                fp.ToString().c_str(), error.c_str());
-      }
-      return RunInterp(q, eopts, fp, params, std::move(error), spans);
-    }
-    return RunCompiled(entry,
-                       from_disk ? ServiceResult::Path::kCompiledDisk
-                                 : ServiceResult::Path::kCompiledCold,
-                       fp, params, spans);
-  }
-
-  // Follower: the hybrid policy answers immediately from the interpreter;
-  // the waiting policy blocks for the (single) compile.
-  if (opts_.while_compiling == ServiceOptions::WhileCompiling::kInterpret) {
+  if (!started) {
+    // Follower: another thread is building this fingerprint; the
+    // interpreter answers now instead of stalling behind a cc invocation.
     stats_.interp_while_compiling.fetch_add(1, std::memory_order_relaxed);
     return RunInterp(q, eopts, fp, params, "", spans);
   }
-  {
-    int64_t t0 = spans != nullptr ? NowNs() : 0;
-    std::unique_lock<std::mutex> flock(flight->mu);
-    flight->cv.wait(flock, [&] { return flight->done; });
-    if (spans != nullptr) spans->push_back({"coalesced-wait", t0, NowNs()});
+
+  stats_.misses.fetch_add(1, std::memory_order_relaxed);
+  if (opts_.midquery_switch && !eopts.profile && engine::HasSpine(q)) {
+    // Hybrid cold start: interpret over the shared morsel dispenser now,
+    // JIT in the background, hand off at a morsel boundary if the
+    // compiled entry lands mid-query.
+    return RunMorselSwitch(q, eopts, fp, params, spans, flight);
   }
-  stats_.coalesced_waits.fetch_add(1, std::memory_order_relaxed);
-  if (flight->entry != nullptr) {
-    return RunCompiled(flight->entry, ServiceResult::Path::kCompiledCached,
-                       fp, params, spans);
+  std::string error;
+  bool from_disk = false;
+  CacheEntryPtr entry = BuildEntry(q, eopts, fp, &error, &from_disk, spans);
+  Publish(fp, flight, entry, error, from_disk, {});
+  if (entry == nullptr) {
+    stats_.interp_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    return RunInterp(q, eopts, fp, params, std::move(error), spans);
   }
-  stats_.interp_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  return RunInterp(q, eopts, fp, params, flight->error, spans);
+  return RunCompiled(entry,
+                     from_disk ? ServiceResult::Path::kCompiledDisk
+                               : ServiceResult::Path::kCompiledCold,
+                     fp, params, spans);
 }
 
 ServiceResult QueryService::RunMorselSwitch(
     const plan::Query& q, const engine::EngineOptions& eopts,
     const Fingerprint& fp, const plan::ParamVec* params, obs::SpanList* spans,
     const std::shared_ptr<InFlight>& flight) {
-  // Publishes a finished build exactly like the plain leader does: the
-  // cache already holds the entry (BuildEntry put it), the in-flight record
-  // retires, waiting followers wake. `ready` is the interpreted prefix's
-  // lock-free stop signal, stored last (release) so a reader that observes
-  // it also observes entry/error.
-  auto publish = [this, fp, flight](CacheEntryPtr entry, std::string error,
-                                    bool from_disk, obs::SpanList bspans) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      inflight_.erase(fp.hash);
-    }
-    stats_.in_flight.fetch_add(-1, std::memory_order_relaxed);
-    if (entry == nullptr) {
-      stats_.interp_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      if (opts_.log_compile_errors) {
-        LB2_LOG(Warn, "[lb2-service] %s: JIT failed, serving interpreted:\n%s",
-                fp.ToString().c_str(), error.c_str());
-      }
-    }
-    {
-      std::lock_guard<std::mutex> flock(flight->mu);
-      flight->done = true;
-      flight->entry = entry;
-      flight->error = std::move(error);
-      flight->from_disk = from_disk;
-      flight->build_spans = std::move(bspans);
-    }
-    flight->ready.store(true, std::memory_order_release);
-    flight->cv.notify_all();
-  };
-
   // Forced-switch mode for the differential harness: LB2_SWITCH_AT=<k>
-  // builds synchronously (the switch point must not race the compiler) and
-  // stops the interpreter at exactly morsel boundary k — sweeping k over
-  // every boundary of a shape exercises every possible handoff state.
-  int64_t switch_at = -1;
-  if (const char* env = std::getenv("LB2_SWITCH_AT")) {
-    switch_at = std::atoll(env);
-  }
-
+  // builds inline (the switch point must not race the compiler) and stops
+  // the interpreter at exactly morsel boundary k — sweeping k over every
+  // boundary of a shape exercises every possible handoff state. A failed
+  // build raises no `ready`, so the interpreter then runs to the end.
+  const int64_t switch_at = EnvNumber<int64_t>("LB2_SWITCH_AT", -1, 0);
   if (switch_at >= 0) {
     std::string error;
     bool from_disk = false;
     CacheEntryPtr entry = BuildEntry(q, eopts, fp, &error, &from_disk, spans);
-    publish(std::move(entry), std::move(error), from_disk, {});
+    Publish(fp, flight, std::move(entry), std::move(error), from_disk, {});
   } else {
-    {
-      std::lock_guard<std::mutex> lock(sw_mu_);
-      ++sw_builds_;
-    }
-    // Copies, not references: the build outlives this frame whenever the
-    // interpreter wins the race, and the destructor outwaits sw_builds_.
-    std::thread([this, q, eopts, fp, publish,
-                 record = spans != nullptr] {
-      obs::SpanList bspans;
-      std::string error;
-      bool from_disk = false;
-      CacheEntryPtr entry = BuildEntry(q, eopts, fp, &error, &from_disk,
-                                       record ? &bspans : nullptr);
-      publish(std::move(entry), std::move(error), from_disk,
-              std::move(bspans));
-      {
-        std::lock_guard<std::mutex> lock(sw_mu_);
-        --sw_builds_;
-      }
-      sw_cv_.notify_all();
-    }).detach();
+    BuildInBackground(q, eopts, fp, flight, /*repair=*/false);
   }
 
   // The interpreted prefix: single-threaded (the seed export reads lane 0)
@@ -761,7 +625,10 @@ ServiceResult QueryService::RunMorselSwitch(
   engine::MorselRun run(std::min(
       opts_.morsel_rows, engine::LaneMorselCap(q, db_, eopts.num_threads)));
   if (switch_at >= 0) {
-    run.stop_poll = [&run, switch_at] { return run.claimed >= switch_at; };
+    run.stop_poll = [&run, &flight, switch_at] {
+      return run.claimed >= switch_at &&
+             flight->ready.load(std::memory_order_acquire);
+    };
   } else {
     run.stop_poll = [&flight] {
       return flight->ready.load(std::memory_order_acquire) ||
@@ -779,15 +646,23 @@ ServiceResult QueryService::RunMorselSwitch(
 
   if (!run.stopped) {
     // The interpreter crossed the finish line before the JIT: serve its
-    // answer now. The background build keeps running and warms the cache
-    // behind this reply — the next request of this shape runs compiled.
+    // answer now. A build still running warms the cache behind this reply
+    // — the next request of this shape runs compiled. One that already
+    // failed makes this a fallback instead of a win.
     if (spans != nullptr) spans->push_back({"exec", t0, t1});
-    stats_.midquery_interp_wins.fetch_add(1, std::memory_order_relaxed);
+    ServiceResult r;
+    bool failed = false;
+    {
+      std::lock_guard<std::mutex> flock(flight->mu);
+      failed = flight->done && flight->entry == nullptr;
+      if (failed) r.compile_error = flight->error;
+    }
+    (failed ? stats_.interp_fallbacks : stats_.midquery_interp_wins)
+        .fetch_add(1, std::memory_order_relaxed);
     if (nparams > 0) {
       stats_.param_bindings_total.fetch_add(nparams,
                                             std::memory_order_relaxed);
     }
-    ServiceResult r;
     r.path = ServiceResult::Path::kInterpreted;
     r.text = std::move(ir.text);
     r.rows = ir.rows;
@@ -799,20 +674,18 @@ ServiceResult QueryService::RunMorselSwitch(
   // Stopped at a morsel boundary: the sink exported its partial aggregate
   // state as seed rows instead of emitting results.
   if (spans != nullptr) spans->push_back({"interp-prefix", t0, t1});
-  if (!flight->ready.load(std::memory_order_acquire)) {
-    // An injected fault forced the stop before the build landed: wait —
-    // the dispenser's remaining morsels need an executor.
-    int64_t tw = spans != nullptr ? NowNs() : 0;
-    std::unique_lock<std::mutex> flock(flight->mu);
-    flight->cv.wait(flock, [&] { return flight->done; });
-    flock.unlock();
-    if (spans != nullptr) spans->push_back({"switch-wait", tw, NowNs()});
-  }
   CacheEntryPtr entry;
   std::string error;
   bool from_disk = false;
   {
-    std::lock_guard<std::mutex> flock(flight->mu);
+    // An injected fault may have forced the stop before the build landed:
+    // wait — the dispenser's remaining morsels need an executor.
+    int64_t tw = spans != nullptr ? NowNs() : 0;
+    std::unique_lock<std::mutex> flock(flight->mu);
+    if (!flight->done) {
+      flight->cv.wait(flock, [&] { return flight->done; });
+      if (spans != nullptr) spans->push_back({"switch-wait", tw, NowNs()});
+    }
     entry = flight->entry;
     error = flight->error;
     from_disk = flight->from_disk;
@@ -821,10 +694,11 @@ ServiceResult QueryService::RunMorselSwitch(
     }
   }
   if (entry == nullptr) {
-    // The build failed after the prefix already stopped: partial aggregate
-    // state has no compiled consumer, so rerun the whole query interpreted.
-    // Wasted prefix work, but this corner (a forced or faulted stop plus a
-    // compile failure) must still answer, and answer the same rows.
+    // A fault stopped the prefix and then the build failed: partial
+    // aggregate state has no compiled consumer, so rerun the whole query
+    // interpreted. Wasted prefix work, but this corner must still answer,
+    // and answer the same rows.
+    stats_.interp_fallbacks.fetch_add(1, std::memory_order_relaxed);
     return RunInterp(q, eopts, fp, params, std::move(error), spans);
   }
 
@@ -994,9 +868,9 @@ CacheEntryPtr QueryService::BuildEntry(const plan::Query& q,
   } else {
     stats_.compile_failures.fetch_add(1, std::memory_order_relaxed);
     // Retries were already exhausted inside the attempt above, so this is
-    // one consecutive hard failure toward the breaker threshold. Both the
-    // foreground leader and the background rebuild worker land here, which
-    // is what keeps the breaker open while the fault persists.
+    // one consecutive hard failure toward the breaker threshold. Every
+    // build lands here, background repairs included, which is what keeps
+    // the breaker open while the fault persists.
     if (opts_.breaker_failures > 0) {
       bool tripped = false;
       {
@@ -1021,76 +895,99 @@ CacheEntryPtr QueryService::BuildEntry(const plan::Query& q,
   return entry;
 }
 
-bool QueryService::EnqueueDriftRecompile(const plan::Query& q,
-                                         const engine::EngineOptions& eopts,
-                                         const Fingerprint& fp) {
-  if (draining_.load(std::memory_order_relaxed)) return false;
-  std::lock_guard<std::mutex> lock(bg_mu_);
-  if (bg_stop_) return false;
-  if (!bg_pending_.insert(fp.hash).second) return false;  // single-flight
-  DriftJob job;
-  job.query = q;
-  job.eopts = eopts;
-  job.fp = fp;
-  bg_queue_.push_back(std::move(job));
-  if (!bg_thread_.joinable()) {
-    bg_thread_ = std::thread(&QueryService::DriftWorkerLoop, this);
+std::shared_ptr<QueryService::InFlight> QueryService::JoinOrStartLocked(
+    const Fingerprint& fp, bool* started) {
+  std::shared_ptr<InFlight>& flight = inflight_[fp.hash];
+  *started = flight == nullptr;
+  if (*started) {
+    flight = std::make_shared<InFlight>();
+    stats_.in_flight.fetch_add(1, std::memory_order_relaxed);
   }
-  bg_cv_.notify_all();
-  return true;
+  return flight;
 }
 
-void QueryService::DriftWorkerLoop() {
-#ifdef __linux__
-  // Low priority: drift recompiles compete with foreground execution for
-  // cores; the steady state can wait a little longer, clients cannot.
-  setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)), 10);
-#endif
-  for (;;) {
-    DriftJob job;
-    {
-      std::unique_lock<std::mutex> lock(bg_mu_);
-      bg_cv_.wait(lock, [&] { return bg_stop_ || !bg_queue_.empty(); });
-      if (bg_stop_) return;
-      job = std::move(bg_queue_.front());
-      bg_queue_.pop_front();
-      bg_busy_ = true;
-    }
+void QueryService::Publish(const Fingerprint& fp,
+                           const std::shared_ptr<InFlight>& flight,
+                           CacheEntryPtr entry, std::string error,
+                           bool from_disk, obs::SpanList spans) {
+  // The cache already holds a built entry (BuildEntry put it), so a request
+  // that misses the retired flight hits the cache instead.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    inflight_.erase(fp.hash);
+  }
+  stats_.in_flight.fetch_add(-1, std::memory_order_relaxed);
+  const bool built = entry != nullptr;
+  if (!built && opts_.log_compile_errors) {
+    LB2_LOG(Warn, "[lb2-service] %s: JIT failed, serving interpreted:\n%s",
+            fp.ToString().c_str(), error.c_str());
+  }
+  {
+    std::lock_guard<std::mutex> flock(flight->mu);
+    flight->done = true;
+    flight->entry = std::move(entry);
+    flight->error = std::move(error);
+    flight->from_disk = from_disk;
+    flight->build_spans = std::move(spans);
+  }
+  // Stored last (release), so a reader that observes it also observes the
+  // entry; a failed build leaves an interpreted prefix running to the end.
+  if (built) flight->ready.store(true, std::memory_order_release);
+  flight->cv.notify_all();
+}
+
+void QueryService::BuildInBackground(const plan::Query& q,
+                                     const engine::EngineOptions& eopts,
+                                     const Fingerprint& fp,
+                                     std::shared_ptr<InFlight> flight,
+                                     bool repair) {
+  {
+    std::lock_guard<std::mutex> lock(bg_mu_);
+    ++bg_builds_;
+  }
+  // Copies, not references: the build outlives the request that started
+  // it whenever that request is served interpreted.
+  std::thread([this, q, eopts, fp, flight = std::move(flight),
+               repair]() mutable {
     std::string error;
     bool from_disk = false;
     CacheEntryPtr entry;
-    // Injection point for the background re-stage path: a `fail` here
-    // behaves exactly like a failed rebuild (the request stream stays
-    // interpreted; the next drifted request re-enqueues), and chaos-mode
-    // delays stretch the window in which drift serves interpreted.
-    if (testing::CheckFault(testing::FaultPoint::kDriftRebuild).fail) {
+    obs::SpanList spans;
+#ifdef __linux__
+    // Repairs compete with foreground execution for cores; the steady
+    // state can wait a little longer, clients cannot.
+    if (repair) {
+      setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)), 10);
+    }
+#endif
+    // Injection point for the background repair path: a `fail` here behaves
+    // exactly like a failed rebuild (requests stay interpreted; the next
+    // drifted or breaker-served request starts another), and chaos-mode
+    // delays stretch the window in which they serve interpreted.
+    if (repair &&
+        testing::CheckFault(testing::FaultPoint::kDriftRebuild).fail) {
       error = "injected drift_rebuild fault";
     } else {
-      entry = BuildEntry(job.query, job.eopts, job.fp, &error, &from_disk,
-                         /*spans=*/nullptr);
+      entry = BuildEntry(q, eopts, fp, &error, &from_disk,
+                         opts_.metrics ? &spans : nullptr);
     }
-    if (entry == nullptr && opts_.log_compile_errors) {
-      LB2_LOG(Warn,
-              "[lb2-service] %s: background drift recompile failed, "
-              "requests stay interpreted:\n%s",
-              job.fp.ToString().c_str(), error.c_str());
-    }
-    {
-      std::lock_guard<std::mutex> lock(bg_mu_);
-      bg_pending_.erase(job.fp.hash);
-      bg_busy_ = false;
-    }
+    Publish(fp, flight, std::move(entry), std::move(error), from_disk,
+            std::move(spans));
+    // Drop this thread's hold on the entry while the build is still
+    // counted, so none of it (dlopen handle, JIT files) outlives the
+    // destructor's outwait.
+    flight.reset();
+    // Decrement and notify under the lock: once a waiter can see zero, the
+    // service (and this cv) may be gone.
+    std::lock_guard<std::mutex> lock(bg_mu_);
+    --bg_builds_;
     bg_cv_.notify_all();
-  }
+  }).detach();
 }
 
 void QueryService::DrainBackground() {
-  {
-    std::unique_lock<std::mutex> lock(sw_mu_);
-    sw_cv_.wait(lock, [&] { return sw_builds_ == 0; });
-  }
   std::unique_lock<std::mutex> lock(bg_mu_);
-  bg_cv_.wait(lock, [&] { return bg_queue_.empty() && !bg_busy_; });
+  bg_cv_.wait(lock, [&] { return bg_builds_ == 0; });
 }
 
 uint64_t QueryService::NeutralShape(const plan::Query& q,
@@ -1205,15 +1102,29 @@ QueryService::ExploreOutcome QueryService::ExploreShape(
     c.profile = false;
     const std::string spec = FlavorSpecString(c.flavor, c.blend);
     Fingerprint fp = FingerprintQuery(q, c, db_);
-    CacheEntryPtr entry = cache_.Get(fp);
-    if (entry == nullptr) {
+    CacheEntryPtr entry;
+    std::shared_ptr<InFlight> flight;
+    bool started = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      entry = cache_.Get(fp);
+      if (entry == nullptr) flight = JoinOrStartLocked(fp, &started);
+    }
+    if (started) {
       std::string error;
       bool from_disk = false;
       entry = BuildEntry(q, c, fp, &error, &from_disk, /*spans=*/nullptr);
-      if (entry == nullptr) {
-        out.report += StrPrintf("  %-12s build failed\n", spec.c_str());
-        continue;
-      }
+      Publish(fp, flight, entry, std::move(error), from_disk, {});
+    } else if (flight != nullptr) {
+      // A request (or another sweep) is already building this candidate:
+      // time its entry rather than compile a second copy.
+      std::unique_lock<std::mutex> flock(flight->mu);
+      flight->cv.wait(flock, [&] { return flight->done; });
+      entry = flight->entry;
+    }
+    if (entry == nullptr) {
+      out.report += StrPrintf("  %-12s build failed\n", spec.c_str());
+      continue;
     }
     stats_.explore_candidates.fetch_add(1, std::memory_order_relaxed);
     // One warm-up run, then best-of-3 over the generated code's own timed
@@ -1349,7 +1260,6 @@ ServiceStats QueryService::Stats() const {
   s.compiles = stats_.compiles.load(std::memory_order_relaxed);
   s.compile_failures =
       stats_.compile_failures.load(std::memory_order_relaxed);
-  s.coalesced_waits = stats_.coalesced_waits.load(std::memory_order_relaxed);
   s.interp_while_compiling =
       stats_.interp_while_compiling.load(std::memory_order_relaxed);
   s.interp_fallbacks =
@@ -1429,7 +1339,6 @@ std::vector<StatMetric> StatMetrics(const ServiceStats& s) {
       c("lb2_cache_misses_total", s.misses),
       c("lb2_compiles_total", s.compiles),
       c("lb2_compile_failures_total", s.compile_failures),
-      c("lb2_coalesced_waits_total", s.coalesced_waits),
       c("lb2_interp_while_compiling_total", s.interp_while_compiling),
       c("lb2_interp_fallbacks_total", s.interp_fallbacks),
       g("lb2_compiles_in_flight", s.in_flight),

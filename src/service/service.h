@@ -7,10 +7,11 @@
 //     database identity — see fingerprint.h),
 //   * serves warm requests straight from the compiled-query cache (no
 //     codegen, no cc, no dlopen),
-//   * single-flights cold requests: N concurrent clients submitting the
-//     same plan trigger exactly one JIT compilation; the rest either wait
-//     for it or run the data-centric interpreter immediately (hybrid
-//     dispatch, the Kashuba & Mühleisen interpret-while-compiling scheme),
+//   * single-flights every build: each compile is a *flight* in one table,
+//     so N concurrent clients submitting the same plan trigger exactly one
+//     JIT compilation; the leader builds and the rest run the data-centric
+//     interpreter immediately (hybrid dispatch, the Kashuba & Mühleisen
+//     interpret-while-compiling scheme),
 //   * degrades to the interpreted path when generated code fails to
 //     compile (captured compiler stderr is logged, the process survives),
 //   * bounds concurrency with a FIFO admission gate (admission.h): at most
@@ -25,9 +26,9 @@
 //   * recompiles in the background on database drift: when a request's
 //     plan+options match a cached entry but the database-identity component
 //     of the key moved (data growth, new index), the request is served
-//     interpreted as usual and exactly one background JIT (single-flighted,
-//     one dedicated low-priority worker thread, off the admission path) is
-//     enqueued for the new key — the steady state returns to compiled
+//     interpreted as usual and exactly one background JIT (a flight in the
+//     same table, built on a niced background thread, off the admission
+//     path) starts for the new key — the steady state returns to compiled
 //     execution without any client eating the compile latency, and the
 //     stale entry is retired so it can never serve drifted data,
 //   * rides out transient external-compiler failures with bounded retry
@@ -35,9 +36,9 @@
 //     a per-fingerprint circuit breaker after `breaker_failures`
 //     consecutive compile failures: while the breaker is open, requests for
 //     that fingerprint are served interpreted immediately (no foreground cc
-//     attempts) and a single-flighted low-priority background rebuild is
-//     scheduled on the drift worker; the first successful build closes the
-//     breaker and the steady state returns to compiled execution,
+//     attempts) and a niced background rebuild flies the same way; the
+//     first successful build closes the breaker and the steady state
+//     returns to compiled execution,
 //   * disables the disk tier for a cooldown window (`disk_cooldown_ms`)
 //     after a write failure (full disk, short write), so degraded storage
 //     costs at most one failed I/O per window — requests themselves never
@@ -58,11 +59,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -156,11 +155,6 @@ struct ServiceOptions {
   /// "blend:<hex-mask>") so shells and servers pick up the flavor knob
   /// without code changes.
   engine::EngineOptions engine = DefaultEngineOptions();
-  /// What a request does when its plan is already compiling on another
-  /// thread: run the interpreter now (hybrid, default — short queries are
-  /// never stalled behind a cc invocation) or block for the compiled code.
-  enum class WhileCompiling { kInterpret, kWait };
-  WhileCompiling while_compiling = WhileCompiling::kInterpret;
   /// Log compile failures (captured compiler stderr) to stderr.
   bool log_compile_errors = true;
   /// Max requests executing at once; 0 = unlimited (gate disabled).
@@ -260,10 +254,9 @@ struct ServiceStats {
   int64_t misses = 0;        // leader compiles (cold paths)
   int64_t compiles = 0;      // successful JIT compilations
   int64_t compile_failures = 0;
-  int64_t coalesced_waits = 0;          // followers that blocked on a leader
   int64_t interp_while_compiling = 0;   // hybrid followers served interpreted
   int64_t interp_fallbacks = 0;         // compile failed -> interpreted
-  int64_t in_flight = 0;                // compilations running right now
+  int64_t in_flight = 0;                // builds (flights) running right now
   int64_t exec_in_flight = 0;     // admitted requests executing right now
   int64_t admitted = 0;           // requests granted an execution slot
   int64_t queued_waits = 0;       // admissions that waited in line first
@@ -279,14 +272,14 @@ struct ServiceStats {
   int64_t disk_writes = 0;     // artifacts written back after a compile
   int64_t disk_evictions = 0;  // artifacts deleted under the byte budget
   int64_t disk_corrupt = 0;    // corrupt/truncated/stale artifacts deleted
-  // Background recompiles enqueued for database-identity drift.
+  // Background recompiles started for database-identity drift.
   int64_t drift_recompiles = 0;
   // Degrade paths (fault tolerance).
   int64_t cc_retries = 0;       // extra compiler attempts after a failure
   int64_t breaker_trips = 0;    // fingerprints whose breaker opened
   int64_t breaker_open = 0;     // breakers open right now (gauge)
   int64_t breaker_served = 0;   // requests served interpreted by the breaker
-  int64_t breaker_rebuilds = 0; // background rebuilds the breaker enqueued
+  int64_t breaker_rebuilds = 0; // background rebuilds the breaker started
   int64_t disk_write_failures = 0;  // Puts that failed or were torn
   int64_t disk_cooldowns = 0;       // cooldown windows entered
   int64_t faults_injected = 0;      // injected faults fired (testing/faults.h)
@@ -445,9 +438,8 @@ class QueryService {
   /// Same data as a JSON object: {"metrics": [...], "stats": {...}}.
   std::string MetricsJson() const;
 
-  /// Blocks until the background drift-recompile queue is empty and the
-  /// worker is idle (tests; graceful drains). Returns immediately when no
-  /// background work was ever enqueued.
+  /// Blocks until no background build (switch build or repair) is running
+  /// (tests; graceful drains). Returns immediately when none is.
   void DrainBackground();
 
   /// Irreversibly puts the service into drain mode: every subsequent
@@ -474,29 +466,26 @@ class QueryService {
   ~QueryService();
 
  private:
-  /// One in-flight compilation; followers of the same fingerprint block on
-  /// (or bypass) this record.
+  /// One build in flight: every compile of a fingerprint — a cold leader's,
+  /// a switch build, an explorer candidate, a drift or breaker repair — is
+  /// one of these in `inflight_`. JoinOrStartLocked is the only place one
+  /// starts and Publish the only place one ends; whoever joins instead
+  /// serves interpreted, or (the explorer, a faulted switch) waits on `cv`.
   struct InFlight {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
-    CacheEntryPtr entry;  // null if the compile failed
+    CacheEntryPtr entry;  // null if the build failed
     std::string error;
-    /// Lock-free mirror of `done`, set (release) after entry/error are
-    /// written: the morsel interpreter's stop poll reads it before every
-    /// claim, and a mutex there would serialize the whole prefix.
+    /// Lock-free "an entry landed" flag, set (release) after entry is
+    /// written and never on failure: the morsel interpreter's stop poll
+    /// reads it before every claim, and a mutex there would serialize the
+    /// whole prefix.
     std::atomic<bool> ready{false};
     /// Build span subtree recorded by a background build thread; grafted
     /// into the request's span list when the request actually switches.
     obs::SpanList build_spans;
     bool from_disk = false;
-  };
-
-  /// One queued background recompile (database-identity drift).
-  struct DriftJob {
-    plan::Query query;
-    engine::EngineOptions eopts;
-    Fingerprint fp;
   };
 
   /// `params` (nullable) is the literal vector extracted by request
@@ -518,13 +507,13 @@ class QueryService {
                           const plan::ParamVec* params,
                           std::string compile_error, obs::SpanList* spans);
   /// The cold-leader body under ServiceOptions::midquery_switch for a plan
-  /// with a spine: kicks the JIT onto a background thread (which
-  /// publishes `flight` exactly like a plain leader), runs the interpreted
+  /// with a spine: builds `flight` in the background, runs the interpreted
   /// prefix over the shared dispenser, and either returns the interpreter's
   /// complete answer (the build keeps running; the cache warms behind the
   /// reply) or seals the seed and finishes on the compiled entry.
   /// LB2_SWITCH_AT=<k> is the differential harness's forced mode: build
-  /// synchronously, then stop the interpreter at exactly morsel boundary k.
+  /// inline, then stop the interpreter at exactly morsel boundary k — if
+  /// the build produced an entry.
   ServiceResult RunMorselSwitch(const plan::Query& q,
                                 const engine::EngineOptions& eopts,
                                 const Fingerprint& fp,
@@ -541,19 +530,31 @@ class QueryService {
   /// the disk tier on, stages the query, probes the artifact store, and
   /// either loads the verified artifact (fast path) or compiles and writes
   /// it back; without the disk tier, plain JIT. Returns null (with *error)
-  /// on compile failure. Shared by foreground leaders and the background
-  /// drift worker; updates compile/disk stats and the shape index.
+  /// on compile failure. Runs only inside a flight its caller started;
+  /// updates compile/disk stats, the shape index and the breaker.
   CacheEntryPtr BuildEntry(const plan::Query& q,
                            const engine::EngineOptions& eopts,
                            const Fingerprint& fp, std::string* error,
                            bool* from_disk, obs::SpanList* spans);
 
-  /// Enqueues a single-flighted background recompile for a drifted key;
-  /// returns false if one is already queued or running for `fp`.
-  bool EnqueueDriftRecompile(const plan::Query& q,
-                             const engine::EngineOptions& eopts,
-                             const Fingerprint& fp);
-  void DriftWorkerLoop();
+  /// Called with mu_ held: the flight building `fp`, started (and counted
+  /// in in_flight) when none is. *started = true hands the caller the duty
+  /// to build it and end it with Publish.
+  std::shared_ptr<InFlight> JoinOrStartLocked(const Fingerprint& fp,
+                                              bool* started);
+  /// Ends `flight`: retires it from the table, records the outcome, raises
+  /// `ready` when there is an entry and wakes every waiter. `spans` is a
+  /// background build's subtree, kept for a switching request to graft.
+  void Publish(const Fingerprint& fp, const std::shared_ptr<InFlight>& flight,
+               CacheEntryPtr entry, std::string error, bool from_disk,
+               obs::SpanList spans);
+  /// Builds and publishes `flight` on a detached thread that no request
+  /// waits on, counted in bg_builds_. A repair (drift or breaker) runs at
+  /// nice 10 and first passes the drift_rebuild fault point.
+  void BuildInBackground(const plan::Query& q,
+                         const engine::EngineOptions& eopts,
+                         const Fingerprint& fp,
+                         std::shared_ptr<InFlight> flight, bool repair);
 
   /// A recorded explorer winner for one plan shape.
   struct FlavorWinner {
@@ -589,6 +590,7 @@ class QueryService {
   std::unique_ptr<ArtifactStore> store_;  // null = disk tier off
 
   mutable std::mutex mu_;  // guards inflight_, shape_to_key_, breaker state
+  /// The single-flight table: fingerprint hash -> its build in flight.
   std::unordered_map<uint64_t, std::shared_ptr<InFlight>> inflight_;
   /// shape component -> combined key of the entry last built for it. A
   /// miss whose shape is present under a different key is database drift.
@@ -597,8 +599,8 @@ class QueryService {
   /// exhausted when this bumps); reset by the first successful build.
   std::unordered_map<uint64_t, int> cc_fail_streak_;
   /// Fingerprints whose circuit breaker is open: requests are served
-  /// interpreted without attempting a foreground compile, while the drift
-  /// worker retries in the background.
+  /// interpreted without attempting a foreground compile, while a
+  /// background repair retries.
   std::unordered_set<uint64_t> breaker_open_;
   /// Explorer state, all guarded by mu_: recorded winners by neutral shape,
   /// shapes whose sidecar was already probed (negative caching), and shapes
@@ -618,7 +620,6 @@ class QueryService {
     std::atomic<int64_t> misses{0};
     std::atomic<int64_t> compiles{0};
     std::atomic<int64_t> compile_failures{0};
-    std::atomic<int64_t> coalesced_waits{0};
     std::atomic<int64_t> interp_while_compiling{0};
     std::atomic<int64_t> interp_fallbacks{0};
     std::atomic<int64_t> in_flight{0};
@@ -657,22 +658,12 @@ class QueryService {
   obs::Histogram* lat_hist_[4] = {};  // indexed by ServiceResult::Path
   obs::Histogram* queue_wait_hist_ = nullptr;
 
-  // Mid-query-switch builds running on detached background threads. Each
-  // owns copies of its inputs but touches the cache, the store and the
-  // stats, so the destructor (and DrainBackground) must outwait them.
-  std::mutex sw_mu_;
-  std::condition_variable sw_cv_;
-  int sw_builds_ = 0;
-
-  // Background drift-recompile worker: one dedicated low-priority thread,
-  // started lazily on the first drift, joined in the destructor.
+  // Background builds running on detached threads. Each owns copies of its
+  // inputs but touches the cache, the store and the stats, so the
+  // destructor (and DrainBackground) must outwait them.
   std::mutex bg_mu_;
   std::condition_variable bg_cv_;
-  std::deque<DriftJob> bg_queue_;
-  std::unordered_set<uint64_t> bg_pending_;  // keys queued or compiling
-  bool bg_stop_ = false;
-  bool bg_busy_ = false;
-  std::thread bg_thread_;
+  int bg_builds_ = 0;
 };
 
 }  // namespace lb2::service

@@ -65,7 +65,8 @@ enum class FaultPoint : int {
   kArtifactRename,  // rename step of an atomic artifact write
   kDlopen,          // dlopen of a generated or persisted shared object
   kDisk,            // disk capacity at artifact-store writes
-  kDriftRebuild,    // drift worker's background re-stage (service/service.cc)
+  kDriftRebuild,    // start of a background drift or breaker repair
+                    // build (service/service.cc)
   kMidquerySwitch,  // morsel-boundary stop poll of an interpreted prefix:
                     // `fail` forces the interpreted→compiled switch at the
                     // next boundary (service/service.cc)

@@ -7,12 +7,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "compile/lb2_compiler.h"
 #include "engine/exec.h"
 #include "engine/interp_backend.h"
 #include "service/fingerprint.h"
 #include "service/service.h"
+#include "testing/faults.h"
 #include "tpch/answers.h"
 #include "tpch/dbgen.h"
 #include "volcano/volcano.h"
@@ -292,6 +294,35 @@ TEST_F(FlavorTest, ExplorerSweepsRecordsAndAutoApplies) {
   ASSERT_EQ(tpch::DiffResults(oracle, r2.text, false), "");
   EXPECT_EQ(svc.Stats().explore_runs, 1);
   EXPECT_EQ(r2.flavor, service::FlavorSpecString(wf, wb));
+}
+
+TEST_F(FlavorTest, ConcurrentFirstRequestsShareCandidateFlights) {
+  // Two first requests of one shape race: one sweeps the flavors, the
+  // other is served under the caller's flavor, whose key is also the
+  // sweep's data-centric candidate. Candidates build inside the same
+  // flights as requests, so that key compiles once, not twice. The cc
+  // delay holds each build open long enough for the two to overlap.
+  service::ServiceOptions so;
+  so.cache_dir = "";
+  so.explore = true;
+  service::QueryService svc(*db_, so);
+  Query q = Q6Style();
+  std::string oracle = volcano::Execute(q, *db_);
+  testing::FaultPlan plan;
+  plan.Delay(testing::FaultPoint::kCcExec, 400);
+  testing::ArmFaults(plan);
+  std::string text[2];
+  std::thread first([&] { text[0] = svc.Execute(q).text; });
+  std::thread second([&] { text[1] = svc.Execute(q).text; });
+  first.join();
+  second.join();
+  testing::DisarmFaults();
+  for (const std::string& t : text) {
+    EXPECT_EQ(tpch::DiffResults(oracle, t, false), "");
+  }
+  auto st = svc.Stats();
+  EXPECT_EQ(st.explore_runs, 1);
+  EXPECT_EQ(st.compiles, st.explore_candidates) << st.ToString();
 }
 
 TEST_F(FlavorTest, ExplorerWinnerSurvivesRestartViaSidecar) {

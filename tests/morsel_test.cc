@@ -21,6 +21,9 @@
 //  * Small spines: a parallel run shrinks its morsels so every lane has
 //    some, and an interpreted prefix stopped inside any of its four
 //    lanes hands the merged lanes to a 4-lane compiled suffix.
+//  * A failed build stops no prefix: the request is interpreted once and
+//    counted once. A service destroyed right after a live interp win
+//    outwaits the build its request started.
 //  * A zero-size dispenser is rejected, never spun on, and the
 //    LB2_MORSEL_ROWS knob keeps its default for values <= 0.
 //
@@ -281,6 +284,90 @@ TEST_F(MorselTest, FaultForcedSwitchWaitsForBuildAndAgrees) {
   EXPECT_EQ(svc.Stats().midquery_switches, 1);
   EXPECT_NE(svc.MetricsPrometheus().find("lb2_midquery_switches_total 1"),
             std::string::npos);
+}
+
+TEST_F(MorselTest, FailedBuildStopsNoPrefixAndCountsTheRequestOnce) {
+  // A failed build publishes no entry, so it must not stop the interpreted
+  // prefix: a stopped prefix has no compiled consumer for its partial
+  // state, and the whole query would be interpreted a second time.
+  plan::Query q = Q1Shape();
+  std::string oracle = volcano::Execute(q, *db_);
+  bool ordered = tpch::OrderSensitive(q);
+  ServiceOptions sopts;
+  sopts.cache_dir = "";
+  sopts.morsel_rows = 1024;
+  sopts.midquery_switch = true;
+  sopts.metrics = true;
+  sopts.cc_retries = 0;
+  sopts.log_compile_errors = false;
+  testing::FaultPlan fail_cc;
+  fail_cc.Fail(testing::FaultPoint::kCcExec);
+  {
+    // Forced mode builds inline, so the failure has landed before the
+    // first boundary poll: one interpreted run, counted as a fallback
+    // that carries the compiler's error.
+    ScopedEnv at("LB2_SWITCH_AT", "0");
+    testing::ArmFaults(fail_cc);
+    QueryService svc(*db_, sopts);
+    ServiceResult r = svc.Execute(q);
+    testing::DisarmFaults();
+    ASSERT_EQ(r.status, ServiceResult::Status::kOk);
+    EXPECT_EQ(tpch::DiffResults(oracle, r.text, ordered), "");
+    EXPECT_EQ(r.path, ServiceResult::Path::kInterpreted);
+    EXPECT_FALSE(r.switched_mid_query);
+    EXPECT_NE(r.compile_error, "");
+    std::string names;
+    for (const obs::Span& span : r.spans) {
+      if (span.name == "exec" || span.name == "interp-prefix") {
+        names += span.name + " ";
+      }
+    }
+    EXPECT_EQ(names, "exec ");
+    service::ServiceStats st = svc.Stats();
+    EXPECT_EQ(st.interp_fallbacks, 1);
+    EXPECT_EQ(st.midquery_interp_wins, 0);
+    EXPECT_EQ(st.in_flight, 0);
+  }
+  {
+    // Live mode: the build fails on its own thread, before or after the
+    // interpreter finishes. Either way the request counts once: a fallback
+    // if the failure came first, an interp win otherwise.
+    testing::ArmFaults(fail_cc);
+    QueryService svc(*db_, sopts);
+    ServiceResult r = svc.Execute(q);
+    svc.DrainBackground();
+    testing::DisarmFaults();
+    ASSERT_EQ(r.status, ServiceResult::Status::kOk);
+    EXPECT_EQ(tpch::DiffResults(oracle, r.text, ordered), "");
+    EXPECT_EQ(r.path, ServiceResult::Path::kInterpreted);
+    service::ServiceStats st = svc.Stats();
+    EXPECT_EQ(st.interp_fallbacks + st.midquery_interp_wins, 1);
+    EXPECT_EQ(st.compile_failures, 1);
+    EXPECT_EQ(st.in_flight, 0);
+  }
+}
+
+TEST_F(MorselTest, DestroyRightAfterLiveInterpWinOutwaitsTheBuild) {
+  // No DrainBackground: the destructor alone must outwait the background
+  // build a live interp win leaves running. A shared cache_dir makes every
+  // build after the first a fast disk load, so the destructor often lands
+  // while a build is finishing — the window TSan watches.
+  plan::Query q = Q6Shape();
+  std::string oracle = volcano::Execute(q, *db_);
+  std::string dir = MakeTempDir();
+  for (int i = 0; i < 16; ++i) {
+    SCOPED_TRACE("iteration " + std::to_string(i));
+    ServiceOptions sopts;
+    sopts.cache_dir = dir;
+    sopts.morsel_rows = kMorselRows;
+    sopts.midquery_switch = true;
+    QueryService svc(*db_, sopts);
+    ServiceResult r = svc.Execute(q);
+    ASSERT_EQ(r.status, ServiceResult::Status::kOk);
+    EXPECT_EQ(tpch::DiffResults(oracle, r.text, tpch::OrderSensitive(q)), "");
+  }
+  std::string cmd = "rm -rf " + dir;
+  ASSERT_EQ(system(cmd.c_str()), 0);
 }
 
 TEST_F(MorselTest, NonEligiblePlansKeepThePlainColdPath) {

@@ -1,7 +1,8 @@
 // Query-service tests: fingerprint stability and sensitivity, cache
 // hit/eviction behavior, single-flight compilation under concurrency
-// (differentially checked against the Volcano oracle), and graceful
-// degradation to the interpreted path on generated-code compile failure.
+// (differentially checked against the Volcano oracle), graceful
+// degradation to the interpreted path on generated-code compile failure,
+// and strict parsing of the service's LB2_* env knobs.
 //
 // These carry the ctest label `service`; the CI sanitizer flow runs them
 // under ThreadSanitizer (`cmake -DLB2_SANITIZE=thread`, `ctest -L service`).
@@ -11,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "engine/morsel.h"
+#include "scoped_env.h"
 #include "service/fingerprint.h"
 #include "service/query_cache.h"
 #include "service/service.h"
@@ -208,12 +211,10 @@ TEST_F(ServiceTest, LruEvictionForcesRecompile) {
   EXPECT_EQ(svc.Stats().misses, 4);
 }
 
-void RunConcurrencyCheck(ServiceOptions::WhileCompiling policy) {
-  ServiceOptions opts;
-  opts.while_compiling = policy;
-  QueryService svc(*ServiceTest::db_, opts);  // NOLINT
-  plan::Query q = sql::ParseQuery(kGroupBySql, *ServiceTest::db_);
-  std::string want = volcano::Execute(q, *ServiceTest::db_);
+TEST_F(ServiceTest, SingleFlightHybridInterpretPolicy) {
+  QueryService svc(*db_);
+  plan::Query q = Parse(kGroupBySql);
+  std::string want = Oracle(q);
 
   constexpr int kThreads = 8;
   std::vector<ServiceResult> results(kThreads);
@@ -228,7 +229,7 @@ void RunConcurrencyCheck(ServiceOptions::WhileCompiling policy) {
   }
 
   // Exactly one build (JIT or verified disk load), no matter how the 8
-  // requests interleave.
+  // requests interleave: the leader builds, the followers interpret.
   ServiceStats stats = svc.Stats();
   EXPECT_EQ(stats.compiles + stats.disk_hits, 1);
   EXPECT_EQ(stats.misses, 1);
@@ -244,14 +245,6 @@ void RunConcurrencyCheck(ServiceOptions::WhileCompiling policy) {
 
   // And a subsequent request is a plain cache hit.
   EXPECT_EQ(svc.Execute(q).path, ServiceResult::Path::kCompiledCached);
-}
-
-TEST_F(ServiceTest, SingleFlightWaitPolicy) {
-  RunConcurrencyCheck(ServiceOptions::WhileCompiling::kWait);
-}
-
-TEST_F(ServiceTest, SingleFlightHybridInterpretPolicy) {
-  RunConcurrencyCheck(ServiceOptions::WhileCompiling::kInterpret);
 }
 
 TEST_F(ServiceTest, ConcurrentDistinctPlansAllCompile) {
@@ -332,6 +325,100 @@ TEST_F(ServiceTest, ExecuteSqlParsesAndCaches) {
 
   EXPECT_FALSE(svc.ExecuteSql("select nonsense from nowhere", &r, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// -- Env knobs ----------------------------------------------------------------
+
+TEST(ServiceKnobTest, EnvKnobsParseStrictlyOrKeepTheirDefaults) {
+  // Every numeric and on/off knob the service reads. A value counts only
+  // when all of it parses and it meets the knob's minimum; anything else
+  // keeps the default (and logs a warning) rather than reading as 0 or
+  // as "on".
+  struct Knob {
+    const char* name;
+    double (*read)();
+    double def;
+  };
+  const double morsel = static_cast<double>(engine::kDefaultMorselRows);
+  const Knob knobs[] = {
+      {"LB2_CACHE_CAPACITY",
+       [] { return static_cast<double>(DefaultCacheCapacity()); }, 64},
+      {"LB2_MAX_INFLIGHT",
+       [] { return static_cast<double>(DefaultMaxInflight()); }, 0},
+      {"LB2_QUEUE_TIMEOUT_MS", [] { return DefaultQueueTimeoutMs(); }, 100},
+      {"LB2_CACHE_DISK_BYTES",
+       [] { return static_cast<double>(DefaultCacheDiskBytes()); }, 0},
+      {"LB2_CC_RETRIES",
+       [] { return static_cast<double>(DefaultCcRetries()); }, 2},
+      {"LB2_BREAKER_FAILURES",
+       [] { return static_cast<double>(DefaultBreakerFailures()); }, 3},
+      {"LB2_DISK_COOLDOWN_MS", [] { return DefaultDiskCooldownMs(); }, 1000},
+      {"LB2_PROF_SAMPLE",
+       [] { return static_cast<double>(DefaultProfSampleEvery()); }, 0},
+      {"LB2_MORSEL_ROWS",
+       [] { return static_cast<double>(DefaultMorselRows()); }, morsel},
+      {"LB2_METRICS", [] { return DefaultMetricsEnabled() ? 1.0 : 0.0; }, 1},
+      {"LB2_PARAMS", [] { return DefaultParamsEnabled() ? 1.0 : 0.0; }, 1},
+      {"LB2_EXPLORE", [] { return DefaultExploreEnabled() ? 1.0 : 0.0; }, 0},
+      {"LB2_MIDQUERY_SWITCH",
+       [] { return DefaultMidquerySwitch() ? 1.0 : 0.0; }, 0},
+  };
+  struct Row {
+    const char* knob;
+    const char* value;
+    double want;
+  };
+  const Row rows[] = {
+      {"LB2_CACHE_CAPACITY", "8", 8},
+      {"LB2_CACHE_CAPACITY", "0", 64},
+      {"LB2_CACHE_CAPACITY", "12abc", 64},
+      {"LB2_MAX_INFLIGHT", "4", 4},
+      {"LB2_MAX_INFLIGHT", "eight", 0},
+      {"LB2_MAX_INFLIGHT", "-1", 0},
+      {"LB2_QUEUE_TIMEOUT_MS", "2.5", 2.5},
+      {"LB2_QUEUE_TIMEOUT_MS", "1s", 100},
+      {"LB2_QUEUE_TIMEOUT_MS", "-5", 100},
+      {"LB2_CACHE_DISK_BYTES", "1048576", 1048576},
+      {"LB2_CACHE_DISK_BYTES", "1MB", 0},
+      {"LB2_CC_RETRIES", "0", 0},
+      {"LB2_CC_RETRIES", "two", 2},
+      {"LB2_BREAKER_FAILURES", "0", 0},
+      {"LB2_BREAKER_FAILURES", "abc", 3},
+      {"LB2_BREAKER_FAILURES", "", 3},
+      {"LB2_DISK_COOLDOWN_MS", "0", 0},
+      {"LB2_DISK_COOLDOWN_MS", "soon", 1000},
+      {"LB2_PROF_SAMPLE", "10", 10},
+      {"LB2_PROF_SAMPLE", "2.5", 0},
+      {"LB2_MORSEL_ROWS", "512", 512},
+      {"LB2_MORSEL_ROWS", "0", morsel},
+      {"LB2_MORSEL_ROWS", "-4096", morsel},
+      {"LB2_MORSEL_ROWS", "rows", morsel},
+      {"LB2_METRICS", "0", 0},
+      {"LB2_METRICS", "OFF", 0},
+      {"LB2_METRICS", "maybe", 1},
+      {"LB2_PARAMS", "0", 0},
+      {"LB2_PARAMS", "off", 0},
+      {"LB2_PARAMS", "False", 0},
+      {"LB2_PARAMS", "1", 1},
+      {"LB2_EXPLORE", "TRUE", 1},
+      {"LB2_EXPLORE", "Yes", 1},
+      {"LB2_EXPLORE", "2", 0},
+      {"LB2_MIDQUERY_SWITCH", "on", 1},
+      {"LB2_MIDQUERY_SWITCH", "nope", 0},
+  };
+  for (const Knob& k : knobs) {
+    ScopedEnv unset(k.name, nullptr);
+    EXPECT_EQ(k.read(), k.def) << k.name << " unset";
+  }
+  for (const Row& row : rows) {
+    const Knob* k = nullptr;
+    for (const Knob& c : knobs) {
+      if (std::string(c.name) == row.knob) k = &c;
+    }
+    ASSERT_NE(k, nullptr) << row.knob;
+    ScopedEnv env(row.knob, row.value);
+    EXPECT_EQ(k->read(), row.want) << row.knob << "=" << row.value;
+  }
 }
 
 }  // namespace
