@@ -4,7 +4,7 @@
 #
 #   scripts/ci.sh            # tier-1 + tsan + faults + params + net
 #                            #   + tracing + flavors + morsel + soak + bench
-#   scripts/ci.sh tier1      # build + full ctest only
+#   scripts/ci.sh tier1      # knob-table check + build + full ctest
 #   scripts/ci.sh tsan       # Debug + -fsanitize=thread,
 #                            #   `ctest -L 'service|obs'`
 #   scripts/ci.sh faults     # TSan build, `ctest -L 'fuzz|fault'` with
@@ -75,6 +75,14 @@
 # hammer one cached entry — and one shared artifact directory, and the
 # lock-free metric registry — from many threads.
 #
+# tier1 first checks that README's "Environment knobs" table and the code
+# agree: the set of LB2_* names passed as the first argument of getenv,
+# EnvNumber or EnvFlag anywhere in src/, examples/ and bench/ must equal
+# the set of names in the table's rows. A knob added without a row, or a
+# row left behind by a deleted knob, fails the lane before anything
+# builds. (String literals that are not read from the environment, such
+# as the staging sentinel "LB2_UNDEF", are not variables and stay out.)
+#
 # Both test lanes export LB2_CACHE_DIR to a throwaway tmpdir so the whole
 # suite exercises the persistent artifact tier: every test process shares
 # one directory, concurrently, exactly like server processes sharing a
@@ -93,7 +101,41 @@ with_cache_dir() {
   rm -rf "$dir"
 }
 
+knob_table() {
+  python3 - <<'EOF'
+import pathlib
+import re
+
+call = re.compile(
+    r'(?:getenv|EnvNumber(?:<[^>]*>)?|EnvFlag)\(\s*"(LB2_[A-Z0-9_]+)"')
+read = set()
+for top in ("src", "examples", "bench"):
+    for path in sorted(pathlib.Path(top).rglob("*")):
+        if path.suffix in (".h", ".cc", ".cpp"):
+            read.update(call.findall(path.read_text()))
+
+section = pathlib.Path("README.md").read_text().split(
+    "### Environment knobs\n", 1)[1].split("\n#", 1)[0]
+rows = set()
+for line in section.splitlines():
+    if line.startswith("| `LB2_"):
+        rows.update(re.findall(r"LB2_[A-Z0-9_]+", line.split("|")[1]))
+
+missing = sorted(read - rows)
+stale = sorted(rows - read)
+for name in missing:
+    print(f"knob-table: {name} is read by the code but has no README row")
+for name in stale:
+    print(f"knob-table: {name} has a README row but nothing reads it")
+if missing or stale:
+    raise SystemExit("README's Environment knobs table is out of date")
+print(f"knob-table: README lists exactly the {len(read)} LB2_* variables "
+      "the code reads")
+EOF
+}
+
 tier1() {
+  knob_table
   cmake -B build -S . >/dev/null
   cmake --build build -j"$(nproc)"
   with_cache_dir ctest --test-dir build --output-on-failure -j"$(nproc)"

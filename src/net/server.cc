@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -18,6 +17,7 @@
 #include "service/service.h"
 #include "sql/sql.h"
 #include "testing/faults.h"
+#include "util/knob.h"
 #include "util/str.h"
 #include "util/time.h"
 
@@ -30,15 +30,6 @@ constexpr uint64_t kListenTag = 1;
 constexpr uint64_t kAdminListenTag = 2;
 constexpr uint64_t kWakeTag = 3;
 
-int EnvInt(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr && env[0] != '\0') {
-    long v = std::atol(env);
-    if (v >= 0) return static_cast<int>(v);
-  }
-  return fallback;
-}
-
 std::atomic<NetServer*> g_signal_server{nullptr};
 
 void DrainSignalHandler(int /*sig*/) {
@@ -50,38 +41,16 @@ void DrainSignalHandler(int /*sig*/) {
 
 }  // namespace
 
-int DefaultPort() { return EnvInt("LB2_PORT", 7878); }
-int DefaultAdminPort() { return EnvInt("LB2_ADMIN_PORT", 7879); }
-int DefaultNetThreads() {
-  int v = EnvInt("LB2_NET_THREADS", 4);
-  return v >= 1 ? v : 1;
-}
+int DefaultPort() { return EnvNumber("LB2_PORT", 7878, 0); }
+int DefaultAdminPort() { return EnvNumber("LB2_ADMIN_PORT", 7879, 0); }
+int DefaultNetThreads() { return EnvNumber("LB2_NET_THREADS", 4, 1); }
 
 double DefaultDrainTimeoutMs() {
-  const char* env = std::getenv("LB2_DRAIN_TIMEOUT_MS");
-  if (env != nullptr && env[0] != '\0') {
-    double v = std::atof(env);
-    if (v >= 0) return v;
-  }
-  return 5000.0;
+  return EnvNumber("LB2_DRAIN_TIMEOUT_MS", 5000.0, 0.0);
 }
 
-std::string NetStats::ToString() const {
-  return StrPrintf(
-      "accepted=%lld active=%lld frames-in=%lld frames-out=%lld busy=%lld "
-      "errors=%lld protocol-errors=%lld backpressure-stalls=%lld "
-      "responses-dropped=%lld admin-requests=%lld drain-forced-closes=%lld "
-      "traces-kept=%lld",
-      static_cast<long long>(accepted), static_cast<long long>(active),
-      static_cast<long long>(frames_in), static_cast<long long>(frames_out),
-      static_cast<long long>(busy_frames),
-      static_cast<long long>(error_frames),
-      static_cast<long long>(protocol_errors),
-      static_cast<long long>(backpressure_stalls),
-      static_cast<long long>(responses_dropped),
-      static_cast<long long>(admin_requests),
-      static_cast<long long>(drain_forced_closes),
-      static_cast<long long>(traces_kept));
+std::vector<obs::Stat> NetStats::List() const {
+  return {LB2_NET_STATS(LB2_STAT_ROW)};
 }
 
 NetServer::NetServer(service::QueryService* svc, NetOptions opts)
@@ -89,22 +58,6 @@ NetServer::NetServer(service::QueryService* svc, NetOptions opts)
       opts_(std::move(opts)),
       recorder_(obs::FlightRecorder::OptionsFromEnv(
           opts_.num_workers >= 1 ? opts_.num_workers : 1)) {
-  accepted_ = metrics_.GetCounter("lb2_net_accepted_total");
-  closed_ = metrics_.GetCounter("lb2_net_closed_total");
-  active_ = metrics_.GetGauge("lb2_net_connections_active");
-  frames_in_ = metrics_.GetCounter("lb2_net_frames_in_total");
-  frames_out_ = metrics_.GetCounter("lb2_net_frames_out_total");
-  busy_frames_ = metrics_.GetCounter("lb2_net_busy_frames_total");
-  error_frames_ = metrics_.GetCounter("lb2_net_error_frames_total");
-  protocol_errors_ = metrics_.GetCounter("lb2_net_protocol_errors_total");
-  backpressure_stalls_ =
-      metrics_.GetCounter("lb2_net_backpressure_stalls_total");
-  responses_dropped_ =
-      metrics_.GetCounter("lb2_net_responses_dropped_total");
-  admin_requests_ = metrics_.GetCounter("lb2_net_admin_requests_total");
-  drain_forced_closes_ =
-      metrics_.GetCounter("lb2_net_drain_forced_closes_total");
-  traces_kept_ = metrics_.GetCounter("lb2_net_traces_kept_total");
   if (svc_->options().metrics) {
     accept_hist_ = metrics_.GetHistogram("lb2_net_accept_ns");
     read_hist_ = metrics_.GetHistogram("lb2_net_read_ns");
@@ -203,7 +156,8 @@ void NetServer::Wait() {
   {
     std::lock_guard<std::mutex> lock(done_mu_);
     if (!done_.empty()) {
-      responses_dropped_->Inc(static_cast<int64_t>(done_.size()));
+      stats_.responses_dropped.fetch_add(static_cast<int64_t>(done_.size()),
+                                         std::memory_order_relaxed);
       done_.clear();
     }
   }
@@ -223,8 +177,8 @@ void NetServer::CloseConn(uint64_t id) {
   auto it = conns_.find(id);
   if (it == conns_.end()) return;
   conns_.erase(it);  // Connection dtor closes the fd (epoll auto-removes)
-  closed_->Inc();
-  active_->Add(-1);
+  stats_.closed.fetch_add(1, std::memory_order_relaxed);
+  stats_.active.fetch_add(-1, std::memory_order_relaxed);
 }
 
 void NetServer::AcceptReady(bool admin) {
@@ -248,8 +202,8 @@ void NetServer::AcceptReady(bool admin) {
     ev.data.u64 = id;
     epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
     conns_[id] = std::move(conn);
-    accepted_->Inc();
-    active_->Add(1);
+    stats_.accepted.fetch_add(1, std::memory_order_relaxed);
+    stats_.active.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -284,31 +238,31 @@ void NetServer::PumpDataFrames(Connection* c) {
       // from there — the connection is stalled, never dropped.
       if (c->reading) {
         c->reading = false;
-        backpressure_stalls_->Inc();
+        stats_.backpressure_stalls.fetch_add(1, std::memory_order_relaxed);
       }
       return;
     }
     FrameDecoder::Status s = c->decoder()->Next(&f);
     if (s == FrameDecoder::Status::kNeedMore) return;
     if (s == FrameDecoder::Status::kError) {
-      protocol_errors_->Inc();
+      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
       c->QueueOutput(
           EncodeFrame(FrameType::kError, 0, c->decoder()->error()));
-      error_frames_->Inc();
-      frames_out_->Inc();
+      stats_.error_frames.fetch_add(1, std::memory_order_relaxed);
+      stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
       c->want_close = true;
       c->reading = false;
       return;
     }
-    frames_in_->Inc();
+    stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
     if (f.type != FrameType::kQuery) {
-      protocol_errors_->Inc();
+      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
       c->QueueOutput(EncodeFrame(
           FrameType::kError, f.request_id,
           StrPrintf("unexpected %s frame from client",
                     FrameTypeName(f.type))));
-      error_frames_->Inc();
-      frames_out_->Inc();
+      stats_.error_frames.fetch_add(1, std::memory_order_relaxed);
+      stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
       c->want_close = true;
       c->reading = false;
       return;
@@ -322,7 +276,7 @@ void NetServer::HandleAdminConn(Connection* c) {
   bool bad = false;
   if (!ParseHttpHead(*c->admin_in(), &req, &bad)) {
     if (bad) {
-      protocol_errors_->Inc();
+      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
       HttpResponse r;
       r.status = 400;
       r.body = "malformed request\n";
@@ -332,7 +286,7 @@ void NetServer::HandleAdminConn(Connection* c) {
     }
     return;
   }
-  admin_requests_->Inc();
+  stats_.admin_requests.fetch_add(1, std::memory_order_relaxed);
   AdminHooks hooks;
   hooks.metrics_text = [this] { return MetricsPrometheus(); };
   hooks.stats_json = [this] { return StatsJson(); };
@@ -383,15 +337,19 @@ void NetServer::HandleCompletions(std::vector<Completion> batch) {
   for (Completion& done : batch) {
     auto it = conns_.find(done.conn_id);
     if (it == conns_.end()) {
-      responses_dropped_->Inc();
+      stats_.responses_dropped.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     Connection* c = it->second.get();
     --c->inflight;
     c->QueueOutput(std::move(done.frame));
-    frames_out_->Inc();
-    if (done.type == FrameType::kBusy) busy_frames_->Inc();
-    if (done.type == FrameType::kError) error_frames_->Inc();
+    stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
+    if (done.type == FrameType::kBusy) {
+      stats_.busy_frames.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (done.type == FrameType::kError) {
+      stats_.error_frames.fetch_add(1, std::memory_order_relaxed);
+    }
     if (draining_loop_) {
       // Still dispatch frames that were fully received before the drain
       // began — they were accepted, so they get answers.
@@ -444,9 +402,9 @@ void NetServer::ForceCloseAll() {
             "[lb2-net] drain timeout (%.0f ms): force-closing %lld "
             "connections",
             opts_.drain_timeout_ms, static_cast<long long>(n));
-    drain_forced_closes_->Inc(n);
-    closed_->Inc(n);
-    active_->Add(-n);
+    stats_.drain_forced_closes.fetch_add(n, std::memory_order_relaxed);
+    stats_.closed.fetch_add(n, std::memory_order_relaxed);
+    stats_.active.fetch_add(-n, std::memory_order_relaxed);
     conns_.clear();
   }
 }
@@ -602,7 +560,6 @@ void NetServer::WorkerThread(int worker_idx) {
       obs::RecordedTrace slow_copy;
       if (slow) slow_copy = t;  // rare by construction; copy only to log
       if (recorder_.Record(worker_idx, std::move(t))) {
-        traces_kept_->Inc();
         // Exemplars attach only after the keep decision, so a bucket's
         // trace id always resolves against GET /traces.
         if (request_hist_ != nullptr) {
@@ -628,18 +585,8 @@ void NetServer::WorkerThread(int worker_idx) {
 
 NetStats NetServer::stats() const {
   NetStats s;
-  s.accepted = accepted_->Value();
-  s.active = active_->Value();
-  s.frames_in = frames_in_->Value();
-  s.frames_out = frames_out_->Value();
-  s.busy_frames = busy_frames_->Value();
-  s.error_frames = error_frames_->Value();
-  s.protocol_errors = protocol_errors_->Value();
-  s.backpressure_stalls = backpressure_stalls_->Value();
-  s.responses_dropped = responses_dropped_->Value();
-  s.admin_requests = admin_requests_->Value();
-  s.drain_forced_closes = drain_forced_closes_->Value();
-  s.traces_kept = traces_kept_->Value();
+  LB2_NET_STATS(LB2_STAT_LOAD)
+  s.traces_kept = recorder_.kept_total();
   return s;
 }
 
@@ -655,17 +602,20 @@ std::string NetServer::HealthzJson() const {
       static_cast<long long>(ss.breaker_open),
       store != nullptr && store->InCooldown() ? "true" : "false",
       static_cast<long long>(svc_->admission()->queue_depth()),
-      static_cast<long long>(active_->Value()),
+      static_cast<long long>(stats_.active.load(std::memory_order_relaxed)),
       static_cast<long long>(recorder_.kept_total()));
 }
 
 std::string NetServer::MetricsPrometheus() const {
-  return metrics_.RenderPrometheus() + svc_->MetricsPrometheus();
+  return metrics_.RenderPrometheus() +
+         obs::RenderStatsPrometheus(stats().List()) +
+         svc_->MetricsPrometheus();
 }
 
 std::string NetServer::StatsJson() const {
-  return "{\"net\": " + metrics_.RenderJson() +
-         ", \"service\": " + svc_->MetricsJson() + "}";
+  return "{\"net\": {\"metrics\": " + metrics_.RenderJson() +
+         ", \"stats\": " + obs::RenderStatsJson(stats().List()) +
+         "}, \"service\": " + svc_->MetricsJson() + "}";
 }
 
 }  // namespace lb2::net

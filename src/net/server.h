@@ -90,23 +90,42 @@ struct NetOptions {
   obs::ChromeTraceWriter* trace = nullptr;
 };
 
+// Every NetStats field, one row each, in exposition order (the row format
+// of LB2_SERVICE_STATS in service/service.h; expanders in obs/metrics.h).
+// `own` rows are relaxed atomics the server bumps itself, always on.
+#define LB2_NET_STATS(X)                                                      \
+  X(own, int64_t, accepted, "lb2_net_accepted_total", counter, "accepted")    \
+  X(own, int64_t, closed, "lb2_net_closed_total", counter, "closed")          \
+  X(own, int64_t, active, "lb2_net_connections_active", gauge, "active")      \
+  X(own, int64_t, frames_in, "lb2_net_frames_in_total", counter, "frames-in") \
+  X(own, int64_t, frames_out, "lb2_net_frames_out_total", counter,            \
+    "frames-out")                                                             \
+  X(own, int64_t, busy_frames, "lb2_net_busy_frames_total", counter, "busy")  \
+  X(own, int64_t, error_frames, "lb2_net_error_frames_total", counter,        \
+    "errors")                                                                 \
+  X(own, int64_t, protocol_errors, "lb2_net_protocol_errors_total", counter,  \
+    "protocol-errors")                                                        \
+  X(own, int64_t, backpressure_stalls, "lb2_net_backpressure_stalls_total",   \
+    counter, "backpressure-stalls")                                           \
+  /* completed after their conn died */                                       \
+  X(own, int64_t, responses_dropped, "lb2_net_responses_dropped_total",       \
+    counter, "responses-dropped")                                             \
+  X(own, int64_t, admin_requests, "lb2_net_admin_requests_total", counter,    \
+    "admin-requests")                                                         \
+  X(own, int64_t, drain_forced_closes, "lb2_net_drain_forced_closes_total",   \
+    counter, "drain-forced-closes")                                           \
+  /* flight-recorder retentions (FlightRecorder::kept_total) */               \
+  X(pull, int64_t, traces_kept, "lb2_net_traces_kept_total", counter,         \
+    "traces-kept")
+
 /// Relaxed snapshot of the network-plane counters (same monitoring
 /// contract as ServiceStats).
 struct NetStats {
-  int64_t accepted = 0;
-  int64_t active = 0;  // gauge
-  int64_t frames_in = 0;
-  int64_t frames_out = 0;
-  int64_t busy_frames = 0;
-  int64_t error_frames = 0;
-  int64_t protocol_errors = 0;
-  int64_t backpressure_stalls = 0;
-  int64_t responses_dropped = 0;   // completed after their conn died
-  int64_t admin_requests = 0;
-  int64_t drain_forced_closes = 0;
-  int64_t traces_kept = 0;  // flight-recorder retentions
+  LB2_NET_STATS(LB2_STAT_FIELD)
 
-  std::string ToString() const;
+  /// Every field as an obs::Stat, in list order.
+  std::vector<obs::Stat> List() const;
+  std::string ToString() const { return obs::RenderStatsLine(List()); }
 };
 
 class NetServer {
@@ -139,8 +158,11 @@ class NetServer {
   void Wait();
 
   NetStats stats() const;
-  /// Network registry + the service's full exposition, one document.
+  /// Network histograms and stats + the service's full exposition, one
+  /// document.
   std::string MetricsPrometheus() const;
+  /// {"net": {"metrics": [...], "stats": {...}}, "service": {...}} — both
+  /// halves in the shape of QueryService::MetricsJson().
   std::string StatsJson() const;
   /// JSON readiness document (the /healthz body): drain flag, open
   /// breakers, disk-tier cooldown, admission-queue depth, kept traces.
@@ -228,22 +250,14 @@ class NetServer {
   bool waited_ = false;
   std::mutex wait_mu_;  // serializes concurrent Wait() calls
 
-  // Network-plane metrics: counters/gauges are always on (atomic adds);
-  // the syscall histograms follow the service's metrics switch.
+  // Network-plane metrics: the `own` rows of LB2_NET_STATS are always on
+  // (relaxed atomic adds); the syscall histograms follow the service's
+  // metrics switch.
+  struct StatCounters {
+    LB2_NET_STATS(LB2_STAT_ATOMIC)
+  };
+  StatCounters stats_;
   obs::Registry metrics_;
-  obs::Counter* accepted_ = nullptr;
-  obs::Counter* closed_ = nullptr;
-  obs::Gauge* active_ = nullptr;
-  obs::Counter* frames_in_ = nullptr;
-  obs::Counter* frames_out_ = nullptr;
-  obs::Counter* busy_frames_ = nullptr;
-  obs::Counter* error_frames_ = nullptr;
-  obs::Counter* protocol_errors_ = nullptr;
-  obs::Counter* backpressure_stalls_ = nullptr;
-  obs::Counter* responses_dropped_ = nullptr;
-  obs::Counter* admin_requests_ = nullptr;
-  obs::Counter* drain_forced_closes_ = nullptr;
-  obs::Counter* traces_kept_ = nullptr;
   obs::Histogram* accept_hist_ = nullptr;
   obs::Histogram* read_hist_ = nullptr;
   obs::Histogram* write_hist_ = nullptr;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "util/check.h"
 #include "util/str.h"
 
 namespace lb2::obs {
@@ -27,47 +26,16 @@ int64_t Histogram::Percentile(double p) const {
   return Max();
 }
 
-Registry::Entry* Registry::FindOrCreate(const std::string& name,
-                                        const Labels& labels, Kind kind) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& e : entries_) {
-    if (e->name == name && e->labels == labels) {
-      LB2_CHECK_MSG(e->kind == kind,
-                    ("metric re-registered with a different kind: " + name)
-                        .c_str());
-      return e.get();
-    }
-  }
-  auto e = std::make_unique<Entry>();
-  e->name = name;
-  e->labels = labels;
-  e->kind = kind;
-  switch (kind) {
-    case Kind::kCounter: e->counter = std::make_unique<Counter>(); break;
-    case Kind::kGauge: e->gauge = std::make_unique<Gauge>(); break;
-    case Kind::kFCounter: e->fcounter = std::make_unique<FCounter>(); break;
-    case Kind::kHistogram: e->histogram = std::make_unique<Histogram>(); break;
-  }
-  entries_.push_back(std::move(e));
-  return entries_.back().get();
-}
-
-Counter* Registry::GetCounter(const std::string& name, const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kCounter)->counter.get();
-}
-
-Gauge* Registry::GetGauge(const std::string& name, const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kGauge)->gauge.get();
-}
-
-FCounter* Registry::GetFCounter(const std::string& name,
-                                const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kFCounter)->fcounter.get();
-}
-
 Histogram* Registry::GetHistogram(const std::string& name,
                                   const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kHistogram)->histogram.get();
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& e : entries_) {
+    if (e->name == name && e->labels == labels) return &e->histogram;
+  }
+  entries_.push_back(std::make_unique<Entry>());
+  entries_.back()->name = name;
+  entries_.back()->labels = labels;
+  return &entries_.back()->histogram;
 }
 
 namespace {
@@ -119,71 +87,49 @@ std::string Registry::RenderPrometheus() const {
   std::string out;
   std::vector<std::string> emitted;
   for (const auto& e : entries_) {
-    switch (e->kind) {
-      case Kind::kCounter:
-        EmitType(&out, &emitted, e->name, "counter");
-        out += e->name + RenderLabels(e->labels, "", "") +
-               StrPrintf(" %lld\n",
-                         static_cast<long long>(e->counter->Value()));
-        break;
-      case Kind::kGauge:
-        EmitType(&out, &emitted, e->name, "gauge");
-        out += e->name + RenderLabels(e->labels, "", "") +
-               StrPrintf(" %lld\n", static_cast<long long>(e->gauge->Value()));
-        break;
-      case Kind::kFCounter:
-        EmitType(&out, &emitted, e->name, "counter");
-        out += e->name + RenderLabels(e->labels, "", "") +
-               StrPrintf(" %g\n", e->fcounter->Value());
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *e->histogram;
-        EmitType(&out, &emitted, e->name, "histogram");
-        // OpenMetrics exemplar: appended to the bucket containing the
-        // exemplar value, linking that bucket to a kept trace id.
-        const uint64_t ex_trace = h.ExemplarTrace();
-        const int64_t ex_value = h.ExemplarValue();
-        const int ex_bucket = (ex_trace != 0 && ex_value >= 0)
-                                  ? Histogram::BucketIndex(ex_value)
-                                  : -1;
-        int64_t cum = 0;
-        for (int i = 0; i < Histogram::kBuckets; ++i) {
-          int64_t c = h.BucketCount(i);
-          if (c == 0) continue;  // cumulative counts stay valid
-          cum += c;
-          out += e->name + "_bucket" +
-                 RenderLabels(e->labels, "le",
-                              StrPrintf("%lld", static_cast<long long>(
-                                                    Histogram::BucketUpperBound(
-                                                        i)))) +
-                 StrPrintf(" %lld", static_cast<long long>(cum));
-          if (i == ex_bucket) {
-            out += StrPrintf(" # {trace_id=\"%016llx\"} %lld",
-                             static_cast<unsigned long long>(ex_trace),
-                             static_cast<long long>(ex_value));
-          }
-          out += "\n";
-        }
-        out += e->name + "_bucket" + RenderLabels(e->labels, "le", "+Inf") +
-               StrPrintf(" %lld\n", static_cast<long long>(h.Count()));
-        out += e->name + "_sum" + RenderLabels(e->labels, "", "") +
-               StrPrintf(" %lld\n", static_cast<long long>(h.Sum()));
-        out += e->name + "_count" + RenderLabels(e->labels, "", "") +
-               StrPrintf(" %lld\n", static_cast<long long>(h.Count()));
-        struct { const char* suffix; double p; } quantiles[] = {
-            {"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}};
-        for (const auto& q : quantiles) {
-          EmitType(&out, &emitted, e->name + q.suffix, "gauge");
-          out += e->name + q.suffix + RenderLabels(e->labels, "", "") +
-                 StrPrintf(" %lld\n",
-                           static_cast<long long>(h.Percentile(q.p)));
-        }
-        EmitType(&out, &emitted, e->name + "_max", "gauge");
-        out += e->name + "_max" + RenderLabels(e->labels, "", "") +
-               StrPrintf(" %lld\n", static_cast<long long>(h.Max()));
-        break;
+    const Histogram& h = e->histogram;
+    EmitType(&out, &emitted, e->name, "histogram");
+    // OpenMetrics exemplar: appended to the bucket containing the exemplar
+    // value, linking that bucket to a kept trace id.
+    const uint64_t ex_trace = h.ExemplarTrace();
+    const int64_t ex_value = h.ExemplarValue();
+    const int ex_bucket = (ex_trace != 0 && ex_value >= 0)
+                              ? Histogram::BucketIndex(ex_value)
+                              : -1;
+    int64_t cum = 0;
+    for (int i = 0; i < Histogram::kBuckets; ++i) {
+      int64_t c = h.BucketCount(i);
+      if (c == 0) continue;  // cumulative counts stay valid
+      cum += c;
+      out += e->name + "_bucket" +
+             RenderLabels(e->labels, "le",
+                          StrPrintf("%lld", static_cast<long long>(
+                                                Histogram::BucketUpperBound(
+                                                    i)))) +
+             StrPrintf(" %lld", static_cast<long long>(cum));
+      if (i == ex_bucket) {
+        out += StrPrintf(" # {trace_id=\"%016llx\"} %lld",
+                         static_cast<unsigned long long>(ex_trace),
+                         static_cast<long long>(ex_value));
       }
+      out += "\n";
     }
+    out += e->name + "_bucket" + RenderLabels(e->labels, "le", "+Inf") +
+           StrPrintf(" %lld\n", static_cast<long long>(h.Count()));
+    out += e->name + "_sum" + RenderLabels(e->labels, "", "") +
+           StrPrintf(" %lld\n", static_cast<long long>(h.Sum()));
+    out += e->name + "_count" + RenderLabels(e->labels, "", "") +
+           StrPrintf(" %lld\n", static_cast<long long>(h.Count()));
+    struct { const char* suffix; double p; } quantiles[] = {
+        {"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}};
+    for (const auto& q : quantiles) {
+      EmitType(&out, &emitted, e->name + q.suffix, "gauge");
+      out += e->name + q.suffix + RenderLabels(e->labels, "", "") +
+             StrPrintf(" %lld\n", static_cast<long long>(h.Percentile(q.p)));
+    }
+    EmitType(&out, &emitted, e->name + "_max", "gauge");
+    out += e->name + "_max" + RenderLabels(e->labels, "", "") +
+           StrPrintf(" %lld\n", static_cast<long long>(h.Max()));
   }
   return out;
 }
@@ -195,37 +141,56 @@ std::string Registry::RenderJson() const {
   for (const auto& e : entries_) {
     if (!first) out += ",";
     first = false;
+    const Histogram& h = e->histogram;
     out += "\n  {\"name\":\"" + e->name + "\",\"labels\":" +
-           JsonLabels(e->labels);
-    switch (e->kind) {
-      case Kind::kCounter:
-        out += StrPrintf(",\"type\":\"counter\",\"value\":%lld}",
-                         static_cast<long long>(e->counter->Value()));
-        break;
-      case Kind::kGauge:
-        out += StrPrintf(",\"type\":\"gauge\",\"value\":%lld}",
-                         static_cast<long long>(e->gauge->Value()));
-        break;
-      case Kind::kFCounter:
-        out += StrPrintf(",\"type\":\"counter\",\"value\":%g}",
-                         e->fcounter->Value());
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *e->histogram;
-        out += StrPrintf(
-            ",\"type\":\"histogram\",\"count\":%lld,\"sum\":%lld,"
-            "\"max\":%lld,\"p50\":%lld,\"p95\":%lld,\"p99\":%lld}",
-            static_cast<long long>(h.Count()),
-            static_cast<long long>(h.Sum()), static_cast<long long>(h.Max()),
-            static_cast<long long>(h.Percentile(0.50)),
-            static_cast<long long>(h.Percentile(0.95)),
-            static_cast<long long>(h.Percentile(0.99)));
-        break;
-      }
-    }
+           JsonLabels(e->labels) +
+           StrPrintf(",\"type\":\"histogram\",\"count\":%lld,\"sum\":%lld,"
+                     "\"max\":%lld,\"p50\":%lld,\"p95\":%lld,\"p99\":%lld}",
+                     static_cast<long long>(h.Count()),
+                     static_cast<long long>(h.Sum()),
+                     static_cast<long long>(h.Max()),
+                     static_cast<long long>(h.Percentile(0.50)),
+                     static_cast<long long>(h.Percentile(0.95)),
+                     static_cast<long long>(h.Percentile(0.99)));
   }
   out += "\n]\n";
   return out;
+}
+
+namespace {
+
+std::string StatValue(const Stat& st, const char* real_format) {
+  return st.integral ? StrPrintf("%lld", static_cast<long long>(st.value))
+                     : StrPrintf(real_format, st.value);
+}
+
+}  // namespace
+
+std::string RenderStatsLine(const std::vector<Stat>& stats) {
+  std::string out;
+  for (const Stat& st : stats) {
+    if (!out.empty()) out += ' ';
+    out += std::string(st.label) + "=" + StatValue(st, "%.0f");
+  }
+  return out;
+}
+
+std::string RenderStatsPrometheus(const std::vector<Stat>& stats) {
+  std::string out;
+  for (const Stat& st : stats) {
+    out += StrPrintf("# TYPE %s %s\n", st.name, st.type);
+    out += std::string(st.name) + " " + StatValue(st, "%g") + "\n";
+  }
+  return out;
+}
+
+std::string RenderStatsJson(const std::vector<Stat>& stats) {
+  std::string out = "{";
+  for (const Stat& st : stats) {
+    if (out.size() > 1) out += ", ";
+    out += "\"" + std::string(st.name) + "\": " + StatValue(st, "%g");
+  }
+  return out + "}";
 }
 
 }  // namespace lb2::obs

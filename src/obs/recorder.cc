@@ -1,39 +1,23 @@
 #include "obs/recorder.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 
+#include "util/knob.h"
 #include "util/str.h"
 
 namespace lb2::obs {
 
-namespace {
-
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoll(v, nullptr, 10);
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtod(v, nullptr);
-}
-
-}  // namespace
-
 FlightRecorder::Options FlightRecorder::OptionsFromEnv(int workers) {
   Options o;
   o.workers = workers;
-  int64_t ring = EnvInt64("LB2_TRACE_RING", static_cast<int64_t>(o.ring));
-  o.ring = ring <= 0 ? 0 : static_cast<size_t>(ring);
-  double slow_ms =
-      EnvDouble("LB2_SLOW_MS", static_cast<double>(o.slow_ns) / 1e6);
+  o.ring = EnvNumber<size_t>("LB2_TRACE_RING", o.ring, 0);
+  const double slow_ms =
+      EnvNumber("LB2_SLOW_MS", static_cast<double>(o.slow_ns) / 1e6,
+                -std::numeric_limits<double>::infinity());
   o.slow_ns = slow_ms <= 0 ? 0 : static_cast<int64_t>(slow_ms * 1e6);
-  int64_t every = EnvInt64("LB2_TRACE_SAMPLE",
-                           static_cast<int64_t>(o.sample_every));
-  o.sample_every = every <= 0 ? 0 : static_cast<uint64_t>(every);
+  o.sample_every =
+      EnvNumber<uint64_t>("LB2_TRACE_SAMPLE", o.sample_every, 0);
   return o;
 }
 

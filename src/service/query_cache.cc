@@ -4,8 +4,7 @@
 
 namespace lb2::service {
 
-QueryCache::QueryCache(size_t max_entries, int64_t max_bytes)
-    : max_entries_(max_entries), max_bytes_(max_bytes) {
+QueryCache::QueryCache(size_t max_entries) : max_entries_(max_entries) {
   LB2_CHECK_MSG(max_entries >= 1, "cache capacity must be >= 1");
 }
 
@@ -32,12 +31,7 @@ void QueryCache::Put(CacheEntryPtr entry) {
   bytes_ += entry->bytes;
   lru_.push_front(std::move(entry));
   map_[lru_.front()->fingerprint.hash] = lru_.begin();
-  EvictOverBudgetLocked();
-}
-
-void QueryCache::EvictOverBudgetLocked() {
-  while (lru_.size() > max_entries_ ||
-         (max_bytes_ > 0 && bytes_ > max_bytes_ && lru_.size() > 1)) {
+  while (lru_.size() > max_entries_) {
     CacheEntryPtr victim = lru_.back();
     bytes_ -= victim->bytes;
     map_.erase(victim->fingerprint.hash);
@@ -58,13 +52,6 @@ bool QueryCache::Erase(const Fingerprint& fp) {
   return true;
 }
 
-void QueryCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  map_.clear();
-  bytes_ = 0;
-}
-
 size_t QueryCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();
@@ -78,14 +65,6 @@ int64_t QueryCache::bytes() const {
 int64_t QueryCache::evictions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return evictions_;
-}
-
-std::vector<Fingerprint> QueryCache::Keys() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Fingerprint> out;
-  out.reserve(lru_.size());
-  for (const auto& e : lru_) out.push_back(e->fingerprint);
-  return out;
 }
 
 }  // namespace lb2::service

@@ -1,5 +1,5 @@
 // Compiled-query cache: fingerprint → loaded shared object, with LRU
-// eviction under an entry-count capacity and an optional byte budget.
+// eviction under an entry-count capacity.
 //
 // Entries are handed out as shared_ptrs, so eviction only drops the cache's
 // reference — the dlopen handle is released (and the .so dlclose'd) when
@@ -13,7 +13,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "compile/lb2_compiler.h"
 #include "service/fingerprint.h"
@@ -28,8 +27,8 @@ struct CacheEntry {
   /// every hit credits these to the service's compile-ms-saved counter.
   double codegen_ms = 0.0;
   double compile_ms = 0.0;
-  /// Shared-object size (byte-budget accounting; generated source counted
-  /// too since the entry keeps it for inspection).
+  /// Shared-object size (the lb2_cache_bytes gauge; generated source
+  /// counted too since the entry keeps it for inspection).
   int64_t bytes = 0;
   // No per-entry run lock: the generated entry takes an explicit
   // lb2_exec_ctx per execution, so N threads may run the same entry
@@ -38,18 +37,17 @@ struct CacheEntry {
 
 using CacheEntryPtr = std::shared_ptr<CacheEntry>;
 
-/// Thread-safe LRU map. `max_entries` must be >= 1; `max_bytes` == 0 means
-/// no byte budget.
+/// Thread-safe LRU map. `max_entries` must be >= 1.
 class QueryCache {
  public:
-  explicit QueryCache(size_t max_entries, int64_t max_bytes = 0);
+  explicit QueryCache(size_t max_entries);
 
   /// Returns the entry for `fp` (bumping it to most-recently-used), or
   /// nullptr on miss.
   CacheEntryPtr Get(const Fingerprint& fp);
 
   /// Inserts `entry`, evicting least-recently-used entries while over
-  /// either budget. Replaces an existing entry with the same fingerprint.
+  /// capacity. Replaces an existing entry with the same fingerprint.
   void Put(CacheEntryPtr entry);
 
   /// Drops the entry for `fp` if present (in-flight executions keep their
@@ -58,23 +56,12 @@ class QueryCache {
   /// not budget pressure.
   bool Erase(const Fingerprint& fp);
 
-  /// Drops all entries (in-flight executions keep their shared_ptrs).
-  void Clear();
-
   size_t size() const;
   int64_t bytes() const;
   int64_t evictions() const;
-  size_t max_entries() const { return max_entries_; }
-  int64_t max_bytes() const { return max_bytes_; }
-
-  /// Fingerprints currently cached, most-recently-used first (stats dumps).
-  std::vector<Fingerprint> Keys() const;
 
  private:
-  void EvictOverBudgetLocked();
-
   const size_t max_entries_;
-  const int64_t max_bytes_;
 
   mutable std::mutex mu_;
   std::list<CacheEntryPtr> lru_;  // front = most recently used

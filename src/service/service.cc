@@ -1,14 +1,10 @@
 #include "service/service.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <limits>
 #include <thread>
-#include <type_traits>
 #include <utility>
 
 #ifdef __linux__
@@ -24,52 +20,11 @@
 #include "sql/sql.h"
 #include "stage/jit.h"
 #include "testing/faults.h"
+#include "util/knob.h"
 #include "util/str.h"
 #include "util/time.h"
 
 namespace lb2::service {
-
-namespace {
-
-/// The numeric knob `name`, or `def` when it is unset. A value that is not
-/// a number of T at or above `min` ("abc", "1s", "-4") keeps `def` and logs
-/// a warning. Integers parse in base 10 only.
-template <typename T>
-T EnvNumber(const char* name, T def, T min) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return def;
-  errno = 0;
-  char* end = nullptr;
-  const long double v =
-      std::is_integral_v<T>
-          ? static_cast<long double>(std::strtoll(env, &end, 10))
-          : std::strtold(env, &end);
-  if (end == env || *end != '\0' || errno != 0 || !(v >= min) ||
-      v > static_cast<long double>(std::numeric_limits<T>::max())) {
-    LB2_LOG(Warn, "[lb2-service] ignoring %s=%s: want a number >= %g; "
-            "keeping %g", name, env, static_cast<double>(min),
-            static_cast<double>(def));
-    return def;
-  }
-  return static_cast<T>(v);
-}
-
-/// The on/off knob `name`, or `def` when it is unset: 1/0, true/false,
-/// on/off or yes/no in any case. Anything else keeps `def` and logs a
-/// warning.
-bool EnvFlag(const char* name, bool def) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return def;
-  std::string v = env;
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  if (v == "1" || v == "true" || v == "on" || v == "yes") return true;
-  if (v == "0" || v == "false" || v == "off" || v == "no") return false;
-  LB2_LOG(Warn, "[lb2-service] ignoring %s=%s: want 1/0, true/false, "
-          "on/off or yes/no; keeping %s", name, env, def ? "on" : "off");
-  return def;
-}
-
-}  // namespace
 
 size_t DefaultCacheCapacity() {
   return EnvNumber<size_t>("LB2_CACHE_CAPACITY", 64, 1);
@@ -177,61 +132,14 @@ const char* StatusName(ServiceResult::Status s) {
   return "?";
 }
 
-std::string ServiceStats::ToString() const {
-  return StrPrintf(
-      "requests=%lld hits=%lld misses=%lld compiles=%lld failures=%lld "
-      "interp-while-compiling=%lld interp-fallbacks=%lld "
-      "in-flight=%lld exec-in-flight=%lld admitted=%lld queued=%lld "
-      "busy=%lld entries=%lld bytes=%lld evictions=%lld "
-      "compile-ms saved=%.0f paid=%.0f "
-      "disk-hits=%lld disk-misses=%lld disk-writes=%lld disk-evictions=%lld "
-      "disk-corrupt=%lld drift-recompiles=%lld "
-      "cc-retries=%lld breaker trips=%lld open=%lld served=%lld "
-      "rebuilds=%lld disk-write-failures=%lld disk-cooldowns=%lld "
-      "faults-injected=%lld drain-sheds=%lld "
-      "param-hits=%lld param-bindings=%lld param-guard-fallbacks=%lld "
-      "explore-runs=%lld explore-candidates=%lld flavor-overrides=%lld "
-      "prof-samples=%lld midquery-switches=%lld midquery-interp-wins=%lld",
-      static_cast<long long>(requests), static_cast<long long>(hits),
-      static_cast<long long>(misses), static_cast<long long>(compiles),
-      static_cast<long long>(compile_failures),
-      static_cast<long long>(interp_while_compiling),
-      static_cast<long long>(interp_fallbacks),
-      static_cast<long long>(in_flight),
-      static_cast<long long>(exec_in_flight),
-      static_cast<long long>(admitted), static_cast<long long>(queued_waits),
-      static_cast<long long>(busy_rejections),
-      static_cast<long long>(cache_entries),
-      static_cast<long long>(cache_bytes), static_cast<long long>(evictions),
-      compile_ms_saved, compile_ms_paid, static_cast<long long>(disk_hits),
-      static_cast<long long>(disk_misses), static_cast<long long>(disk_writes),
-      static_cast<long long>(disk_evictions),
-      static_cast<long long>(disk_corrupt),
-      static_cast<long long>(drift_recompiles),
-      static_cast<long long>(cc_retries),
-      static_cast<long long>(breaker_trips),
-      static_cast<long long>(breaker_open),
-      static_cast<long long>(breaker_served),
-      static_cast<long long>(breaker_rebuilds),
-      static_cast<long long>(disk_write_failures),
-      static_cast<long long>(disk_cooldowns),
-      static_cast<long long>(faults_injected),
-      static_cast<long long>(drain_sheds),
-      static_cast<long long>(param_cache_hits),
-      static_cast<long long>(param_bindings_total),
-      static_cast<long long>(param_guard_fallbacks),
-      static_cast<long long>(explore_runs),
-      static_cast<long long>(explore_candidates),
-      static_cast<long long>(flavor_overrides),
-      static_cast<long long>(prof_samples),
-      static_cast<long long>(midquery_switches),
-      static_cast<long long>(midquery_interp_wins));
+std::vector<obs::Stat> ServiceStats::List() const {
+  return {LB2_SERVICE_STATS(LB2_STAT_ROW)};
 }
 
 QueryService::QueryService(const rt::Database& db, ServiceOptions opts)
     : db_(db),
       opts_(opts),
-      cache_(opts.cache_capacity, opts.cache_bytes),
+      cache_(opts.cache_capacity),
       gate_(opts.max_inflight, opts.queue_timeout_ms) {
   LB2_CHECK_MSG(opts_.morsel_rows > 0,
                 "ServiceOptions::morsel_rows must be > 0");
@@ -471,7 +379,6 @@ ServiceResult QueryService::Execute(const plan::Query& q,
   AdmissionSlot slot(&gate_);
   if (rec) spans.push_back({"admission", t_adm, NowNs()});
   if (!slot.admitted()) {
-    stats_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
     ServiceResult r;
     r.status = ServiceResult::Status::kBusy;
     r.fingerprint = fp;
@@ -532,8 +439,8 @@ ServiceResult QueryService::ExecuteAdmitted(const plan::Query& q,
       // Database-identity drift: the shape index still points at the old
       // key until the repair lands, so every drifted request funnels here
       // (interpreted) instead of blocking on a foreground cc.
-      drift = !breaker && opts_.background_recompile &&
-              sit != shape_to_key_.end() && sit->second != fp.hash;
+      drift = !breaker && sit != shape_to_key_.end() &&
+              sit->second != fp.hash;
       if (drift) stale_key = sit->second;
       // Join or start the flight, unless that would start a repair in a
       // draining service.
@@ -899,10 +806,7 @@ std::shared_ptr<QueryService::InFlight> QueryService::JoinOrStartLocked(
     const Fingerprint& fp, bool* started) {
   std::shared_ptr<InFlight>& flight = inflight_[fp.hash];
   *started = flight == nullptr;
-  if (*started) {
-    flight = std::make_shared<InFlight>();
-    stats_.in_flight.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (*started) flight = std::make_shared<InFlight>();
   return flight;
 }
 
@@ -916,7 +820,6 @@ void QueryService::Publish(const Fingerprint& fp,
     std::lock_guard<std::mutex> lock(mu_);
     inflight_.erase(fp.hash);
   }
-  stats_.in_flight.fetch_add(-1, std::memory_order_relaxed);
   const bool built = entry != nullptr;
   if (!built && opts_.log_compile_errors) {
     LB2_LOG(Warn, "[lb2-service] %s: JIT failed, serving interpreted:\n%s",
@@ -1254,55 +1157,19 @@ void QueryService::AttachExemplar(ServiceResult::Path path, uint64_t trace_id,
 
 ServiceStats QueryService::Stats() const {
   ServiceStats s;
-  s.requests = stats_.requests.load(std::memory_order_relaxed);
-  s.hits = stats_.hits.load(std::memory_order_relaxed);
-  s.misses = stats_.misses.load(std::memory_order_relaxed);
-  s.compiles = stats_.compiles.load(std::memory_order_relaxed);
-  s.compile_failures =
-      stats_.compile_failures.load(std::memory_order_relaxed);
-  s.interp_while_compiling =
-      stats_.interp_while_compiling.load(std::memory_order_relaxed);
-  s.interp_fallbacks =
-      stats_.interp_fallbacks.load(std::memory_order_relaxed);
-  s.in_flight = stats_.in_flight.load(std::memory_order_relaxed);
-  s.busy_rejections = stats_.busy_rejections.load(std::memory_order_relaxed);
-  s.drift_recompiles =
-      stats_.drift_recompiles.load(std::memory_order_relaxed);
-  s.cc_retries = stats_.cc_retries.load(std::memory_order_relaxed);
-  s.breaker_trips = stats_.breaker_trips.load(std::memory_order_relaxed);
-  s.breaker_served = stats_.breaker_served.load(std::memory_order_relaxed);
-  s.breaker_rebuilds =
-      stats_.breaker_rebuilds.load(std::memory_order_relaxed);
-  s.drain_sheds = stats_.drain_sheds.load(std::memory_order_relaxed);
-  s.param_cache_hits =
-      stats_.param_cache_hits.load(std::memory_order_relaxed);
-  s.param_bindings_total =
-      stats_.param_bindings_total.load(std::memory_order_relaxed);
-  s.param_guard_fallbacks =
-      stats_.param_guard_fallbacks.load(std::memory_order_relaxed);
-  s.explore_runs = stats_.explore_runs.load(std::memory_order_relaxed);
-  s.explore_candidates =
-      stats_.explore_candidates.load(std::memory_order_relaxed);
-  s.flavor_overrides =
-      stats_.flavor_overrides.load(std::memory_order_relaxed);
-  s.prof_samples = stats_.prof_samples.load(std::memory_order_relaxed);
-  s.midquery_switches =
-      stats_.midquery_switches.load(std::memory_order_relaxed);
-  s.midquery_interp_wins =
-      stats_.midquery_interp_wins.load(std::memory_order_relaxed);
+  LB2_SERVICE_STATS(LB2_STAT_LOAD)
   {
     std::lock_guard<std::mutex> lock(mu_);
+    s.in_flight = static_cast<int64_t>(inflight_.size());
     s.breaker_open = static_cast<int64_t>(breaker_open_.size());
   }
-  s.faults_injected = lb2::testing::FaultsFiredTotal();
-  s.compile_ms_saved = stats_.compile_ms_saved.load(std::memory_order_relaxed);
-  s.compile_ms_paid = stats_.compile_ms_paid.load(std::memory_order_relaxed);
-  s.cache_entries = static_cast<int64_t>(cache_.size());
-  s.cache_bytes = cache_.bytes();
-  s.evictions = cache_.evictions();
   s.exec_in_flight = gate_.in_flight();
   s.admitted = gate_.admitted_total();
   s.queued_waits = gate_.queued_total();
+  s.busy_rejections = gate_.timed_out_total();
+  s.cache_entries = static_cast<int64_t>(cache_.size());
+  s.cache_bytes = cache_.bytes();
+  s.evictions = cache_.evictions();
   if (store_ != nullptr) {
     s.disk_hits = store_->hits();
     s.disk_misses = store_->misses();
@@ -1312,104 +1179,18 @@ ServiceStats QueryService::Stats() const {
     s.disk_write_failures = store_->write_failures();
     s.disk_cooldowns = store_->cooldowns();
   }
+  s.faults_injected = lb2::testing::FaultsFiredTotal();
   return s;
 }
 
-namespace {
-
-/// (name, type, value) triplets for every ServiceStats field, so the two
-/// renderers below cannot drift from each other.
-struct StatMetric {
-  const char* name;
-  const char* type;  // Prometheus metric type
-  double value;
-  bool integral;
-};
-
-std::vector<StatMetric> StatMetrics(const ServiceStats& s) {
-  auto c = [](const char* n, int64_t v) {
-    return StatMetric{n, "counter", static_cast<double>(v), true};
-  };
-  auto g = [](const char* n, int64_t v) {
-    return StatMetric{n, "gauge", static_cast<double>(v), true};
-  };
-  return {
-      c("lb2_requests_total", s.requests),
-      c("lb2_cache_hits_total", s.hits),
-      c("lb2_cache_misses_total", s.misses),
-      c("lb2_compiles_total", s.compiles),
-      c("lb2_compile_failures_total", s.compile_failures),
-      c("lb2_interp_while_compiling_total", s.interp_while_compiling),
-      c("lb2_interp_fallbacks_total", s.interp_fallbacks),
-      g("lb2_compiles_in_flight", s.in_flight),
-      g("lb2_exec_in_flight", s.exec_in_flight),
-      c("lb2_admitted_total", s.admitted),
-      c("lb2_queued_waits_total", s.queued_waits),
-      c("lb2_busy_rejections_total", s.busy_rejections),
-      {"lb2_compile_ms_saved_total", "counter", s.compile_ms_saved, false},
-      {"lb2_compile_ms_paid_total", "counter", s.compile_ms_paid, false},
-      g("lb2_cache_entries", s.cache_entries),
-      g("lb2_cache_bytes", s.cache_bytes),
-      c("lb2_cache_evictions_total", s.evictions),
-      c("lb2_disk_hits_total", s.disk_hits),
-      c("lb2_disk_misses_total", s.disk_misses),
-      c("lb2_disk_writes_total", s.disk_writes),
-      c("lb2_disk_evictions_total", s.disk_evictions),
-      c("lb2_disk_corrupt_total", s.disk_corrupt),
-      c("lb2_drift_recompiles_total", s.drift_recompiles),
-      c("lb2_cc_retries_total", s.cc_retries),
-      c("lb2_breaker_trips_total", s.breaker_trips),
-      g("lb2_breaker_open", s.breaker_open),
-      c("lb2_breaker_served_total", s.breaker_served),
-      c("lb2_breaker_rebuilds_total", s.breaker_rebuilds),
-      c("lb2_disk_write_failures_total", s.disk_write_failures),
-      c("lb2_disk_cooldowns_total", s.disk_cooldowns),
-      c("lb2_faults_injected_total", s.faults_injected),
-      c("lb2_drain_sheds_total", s.drain_sheds),
-      c("lb2_param_cache_hits_total", s.param_cache_hits),
-      c("lb2_param_bindings_total", s.param_bindings_total),
-      c("lb2_param_guard_fallbacks_total", s.param_guard_fallbacks),
-      c("lb2_explore_runs_total", s.explore_runs),
-      c("lb2_explore_candidates_total", s.explore_candidates),
-      c("lb2_flavor_overrides_total", s.flavor_overrides),
-      c("lb2_prof_samples_total", s.prof_samples),
-      c("lb2_midquery_switches_total", s.midquery_switches),
-      c("lb2_midquery_interp_wins_total", s.midquery_interp_wins),
-  };
-}
-
-}  // namespace
-
 std::string QueryService::MetricsPrometheus() const {
-  std::string out = metrics_.RenderPrometheus();
-  for (const StatMetric& m : StatMetrics(Stats())) {
-    out += StrPrintf("# TYPE %s %s\n", m.name, m.type);
-    if (m.integral) {
-      out += StrPrintf("%s %lld\n", m.name,
-                       static_cast<long long>(m.value));
-    } else {
-      out += StrPrintf("%s %g\n", m.name, m.value);
-    }
-  }
-  return out;
+  return metrics_.RenderPrometheus() +
+         obs::RenderStatsPrometheus(Stats().List());
 }
 
 std::string QueryService::MetricsJson() const {
-  std::string out = "{\"metrics\": " + metrics_.RenderJson() +
-                    ", \"stats\": {";
-  bool first = true;
-  for (const StatMetric& m : StatMetrics(Stats())) {
-    if (!first) out += ", ";
-    first = false;
-    if (m.integral) {
-      out += StrPrintf("\"%s\": %lld", m.name,
-                       static_cast<long long>(m.value));
-    } else {
-      out += StrPrintf("\"%s\": %g", m.name, m.value);
-    }
-  }
-  out += "}}";
-  return out;
+  return "{\"metrics\": " + metrics_.RenderJson() +
+         ", \"stats\": " + obs::RenderStatsJson(Stats().List()) + "}";
 }
 
 }  // namespace lb2::service

@@ -46,8 +46,11 @@
 //
 // Every degrade decision is counted (ServiceStats: cc_retries,
 // breaker_trips/served/rebuilds, disk_write_failures, disk_cooldowns,
-// faults_injected) and exported through MetricsPrometheus()/MetricsJson().
-// Fault injection for all of these paths lives in testing/faults.h.
+// faults_injected). Each ServiceStats field is one row of the
+// LB2_SERVICE_STATS list below, which generates the snapshot struct, the
+// service's own atomics, their loads in Stats(), ToString and the stats
+// block of MetricsPrometheus()/MetricsJson(). Fault injection for all of
+// these paths lives in testing/faults.h.
 //
 // Thread-safety: every public method may be called from any thread.
 // Compiled entries are reentrant (each execution gets a private
@@ -64,6 +67,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "engine/exec.h"
 #include "obs/metrics.h"
@@ -148,8 +152,6 @@ engine::EngineOptions DefaultEngineOptions();
 struct ServiceOptions {
   /// Max cached compiled queries (>= 1).
   size_t cache_capacity = DefaultCacheCapacity();
-  /// Byte budget over generated .so sizes; 0 = unlimited.
-  int64_t cache_bytes = 0;
   /// Engine knobs baked into compiled entries (part of the cache key).
   /// The default applies the LB2_FLAVOR spec ("data" | "vec" |
   /// "blend:<hex-mask>") so shells and servers pick up the flavor knob
@@ -169,10 +171,6 @@ struct ServiceOptions {
   /// Disk-tier byte budget over .so sizes (LRU-by-mtime eviction);
   /// 0 = unlimited.
   int64_t cache_disk_bytes = DefaultCacheDiskBytes();
-  /// Recompile in the background when a request's plan+options match a
-  /// cached entry but the database identity drifted. When false, drifted
-  /// keys behave like plain cold misses (the client pays the JIT).
-  bool background_recompile = true;
   /// Extra external-compiler attempts after a failed one (transient cc
   /// failures: OOM-killed compiler, tmpfs contention). 0 = single attempt.
   /// Backoff between attempts is exponential from `cc_retry_backoff_ms`
@@ -241,6 +239,126 @@ struct ServiceOptions {
   bool midquery_switch = DefaultMidquerySwitch();
 };
 
+// Every ServiceStats field, one row each, in exposition order:
+//   X(own|pull, type, field, "lb2_name", counter|gauge, "ToString label")
+// `own` rows are relaxed atomics the service bumps itself; `pull` rows are
+// read in Stats() from the component that keeps the count (the cache, the
+// admission gate, the artifact store, the fault registry, or the flight and
+// breaker tables under mu_). The expanders live in obs/metrics.h.
+#define LB2_SERVICE_STATS(X)                                                  \
+  X(own, int64_t, requests, "lb2_requests_total", counter, "requests")        \
+  /* served from the compiled-query cache */                                  \
+  X(own, int64_t, hits, "lb2_cache_hits_total", counter, "hits")              \
+  /* leader compiles (cold paths) */                                          \
+  X(own, int64_t, misses, "lb2_cache_misses_total", counter, "misses")        \
+  /* successful JIT compilations */                                           \
+  X(own, int64_t, compiles, "lb2_compiles_total", counter, "compiles")        \
+  X(own, int64_t, compile_failures, "lb2_compile_failures_total", counter,    \
+    "failures")                                                               \
+  /* hybrid followers served interpreted */                                   \
+  X(own, int64_t, interp_while_compiling, "lb2_interp_while_compiling_total", \
+    counter, "interp-while-compiling")                                        \
+  /* compile failed -> interpreted */                                         \
+  X(own, int64_t, interp_fallbacks, "lb2_interp_fallbacks_total", counter,    \
+    "interp-fallbacks")                                                       \
+  /* builds (flights) running right now */                                    \
+  X(pull, int64_t, in_flight, "lb2_compiles_in_flight", gauge, "in-flight")   \
+  /* admitted requests executing right now */                                 \
+  X(pull, int64_t, exec_in_flight, "lb2_exec_in_flight", gauge,               \
+    "exec-in-flight")                                                         \
+  /* requests granted an execution slot */                                    \
+  X(pull, int64_t, admitted, "lb2_admitted_total", counter, "admitted")       \
+  /* admissions that waited in line first */                                  \
+  X(pull, int64_t, queued_waits, "lb2_queued_waits_total", counter, "queued") \
+  /* requests shed after queue timeout */                                     \
+  X(pull, int64_t, busy_rejections, "lb2_busy_rejections_total", counter,     \
+    "busy")                                                                   \
+  /* codegen+cc ms amortized by cache hits */                                 \
+  X(own, double, compile_ms_saved, "lb2_compile_ms_saved_total", counter,     \
+    "compile-ms saved")                                                       \
+  /* codegen+cc ms actually spent */                                          \
+  X(own, double, compile_ms_paid, "lb2_compile_ms_paid_total", counter,       \
+    "paid")                                                                   \
+  X(pull, int64_t, cache_entries, "lb2_cache_entries", gauge, "entries")      \
+  X(pull, int64_t, cache_bytes, "lb2_cache_bytes", gauge, "bytes")            \
+  X(pull, int64_t, evictions, "lb2_cache_evictions_total", counter,           \
+    "evictions")                                                              \
+  /* Disk tier (all zero when the tier is off). */                            \
+  /* artifact verified + loaded (no cc paid) */                               \
+  X(pull, int64_t, disk_hits, "lb2_disk_hits_total", counter, "disk-hits")    \
+  /* probes that found nothing usable */                                      \
+  X(pull, int64_t, disk_misses, "lb2_disk_misses_total", counter,             \
+    "disk-misses")                                                            \
+  /* artifacts written back after a compile */                                \
+  X(pull, int64_t, disk_writes, "lb2_disk_writes_total", counter,             \
+    "disk-writes")                                                            \
+  /* artifacts deleted under the byte budget */                               \
+  X(pull, int64_t, disk_evictions, "lb2_disk_evictions_total", counter,       \
+    "disk-evictions")                                                         \
+  /* corrupt/truncated/stale artifacts deleted */                             \
+  X(pull, int64_t, disk_corrupt, "lb2_disk_corrupt_total", counter,           \
+    "disk-corrupt")                                                           \
+  /* background recompiles started for database-identity drift */             \
+  X(own, int64_t, drift_recompiles, "lb2_drift_recompiles_total", counter,    \
+    "drift-recompiles")                                                       \
+  /* Degrade paths (fault tolerance). */                                      \
+  /* extra compiler attempts after a failure */                               \
+  X(own, int64_t, cc_retries, "lb2_cc_retries_total", counter, "cc-retries")  \
+  /* fingerprints whose breaker opened */                                     \
+  X(own, int64_t, breaker_trips, "lb2_breaker_trips_total", counter,          \
+    "breaker trips")                                                          \
+  /* breakers open right now */                                               \
+  X(pull, int64_t, breaker_open, "lb2_breaker_open", gauge, "open")           \
+  /* requests served interpreted by the breaker */                            \
+  X(own, int64_t, breaker_served, "lb2_breaker_served_total", counter,        \
+    "served")                                                                 \
+  /* background rebuilds the breaker started */                               \
+  X(own, int64_t, breaker_rebuilds, "lb2_breaker_rebuilds_total", counter,    \
+    "rebuilds")                                                               \
+  /* Puts that failed or were torn */                                         \
+  X(pull, int64_t, disk_write_failures, "lb2_disk_write_failures_total",      \
+    counter, "disk-write-failures")                                           \
+  /* cooldown windows entered */                                              \
+  X(pull, int64_t, disk_cooldowns, "lb2_disk_cooldowns_total", counter,       \
+    "disk-cooldowns")                                                         \
+  /* injected faults fired (testing/faults.h) */                              \
+  X(pull, int64_t, faults_injected, "lb2_faults_injected_total", counter,     \
+    "faults-injected")                                                        \
+  /* requests shed because BeginDrain() ran */                                \
+  X(own, int64_t, drain_sheds, "lb2_drain_sheds_total", counter,              \
+    "drain-sheds")                                                            \
+  /* Parameterized-plan cache economics (ServiceOptions::parameterize). */    \
+  /* cached-artifact runs with bound params */                                \
+  X(own, int64_t, param_cache_hits, "lb2_param_cache_hits_total", counter,    \
+    "param-hits")                                                             \
+  /* individual literals bound at Run() */                                    \
+  X(own, int64_t, param_bindings_total, "lb2_param_bindings_total", counter,  \
+    "param-bindings")                                                         \
+  /* literals kept baked by a guard */                                        \
+  X(own, int64_t, param_guard_fallbacks, "lb2_param_guard_fallbacks_total",   \
+    counter, "param-guard-fallbacks")                                         \
+  /* Codegen-flavor explorer (ServiceOptions::explore / ExploreFlavors()). */ \
+  /* per-shape sweeps performed */                                            \
+  X(own, int64_t, explore_runs, "lb2_explore_runs_total", counter,            \
+    "explore-runs")                                                           \
+  /* candidate flavors built + timed */                                       \
+  X(own, int64_t, explore_candidates, "lb2_explore_candidates_total",         \
+    counter, "explore-candidates")                                            \
+  /* requests served under a recorded winner */                               \
+  X(own, int64_t, flavor_overrides, "lb2_flavor_overrides_total", counter,    \
+    "flavor-overrides")                                                       \
+  /* profiled runs folded into lb2_op_ns (prof_sample_every) */               \
+  X(own, int64_t, prof_samples, "lb2_prof_samples_total", counter,            \
+    "prof-samples")                                                           \
+  /* cold requests whose interpreted prefix handed off to the compiled */     \
+  /* entry at a morsel boundary (ServiceOptions::midquery_switch) */          \
+  X(own, int64_t, midquery_switches, "lb2_midquery_switches_total", counter,  \
+    "midquery-switches")                                                      \
+  /* cold requests whose interpreter finished before the background JIT, */  \
+  /* served without waiting for the compiler at all */                        \
+  X(own, int64_t, midquery_interp_wins, "lb2_midquery_interp_wins_total",     \
+    counter, "midquery-interp-wins")
+
 /// Point-in-time counters. `Snapshot`-style value type, filled by
 /// QueryService::Stats() from relaxed atomic loads: the snapshot is
 /// internally consistent only to within the few increments in flight while
@@ -249,61 +367,13 @@ struct ServiceOptions {
 /// the standard monitoring contract, bought by keeping the request hot
 /// path free of any stats mutex.
 struct ServiceStats {
-  int64_t requests = 0;
-  int64_t hits = 0;          // served from the compiled-query cache
-  int64_t misses = 0;        // leader compiles (cold paths)
-  int64_t compiles = 0;      // successful JIT compilations
-  int64_t compile_failures = 0;
-  int64_t interp_while_compiling = 0;   // hybrid followers served interpreted
-  int64_t interp_fallbacks = 0;         // compile failed -> interpreted
-  int64_t in_flight = 0;                // builds (flights) running right now
-  int64_t exec_in_flight = 0;     // admitted requests executing right now
-  int64_t admitted = 0;           // requests granted an execution slot
-  int64_t queued_waits = 0;       // admissions that waited in line first
-  int64_t busy_rejections = 0;    // requests shed after queue timeout
-  double compile_ms_saved = 0.0;  // codegen+cc ms amortized by cache hits
-  double compile_ms_paid = 0.0;   // codegen+cc ms actually spent
-  int64_t cache_entries = 0;
-  int64_t cache_bytes = 0;
-  int64_t evictions = 0;
-  // Disk tier (all zero when the tier is off).
-  int64_t disk_hits = 0;       // artifact verified + loaded (no cc paid)
-  int64_t disk_misses = 0;     // probes that found nothing usable
-  int64_t disk_writes = 0;     // artifacts written back after a compile
-  int64_t disk_evictions = 0;  // artifacts deleted under the byte budget
-  int64_t disk_corrupt = 0;    // corrupt/truncated/stale artifacts deleted
-  // Background recompiles started for database-identity drift.
-  int64_t drift_recompiles = 0;
-  // Degrade paths (fault tolerance).
-  int64_t cc_retries = 0;       // extra compiler attempts after a failure
-  int64_t breaker_trips = 0;    // fingerprints whose breaker opened
-  int64_t breaker_open = 0;     // breakers open right now (gauge)
-  int64_t breaker_served = 0;   // requests served interpreted by the breaker
-  int64_t breaker_rebuilds = 0; // background rebuilds the breaker started
-  int64_t disk_write_failures = 0;  // Puts that failed or were torn
-  int64_t disk_cooldowns = 0;       // cooldown windows entered
-  int64_t faults_injected = 0;      // injected faults fired (testing/faults.h)
-  int64_t drain_sheds = 0;          // requests shed because BeginDrain() ran
-  // Parameterized-plan cache economics (ServiceOptions::parameterize).
-  int64_t param_cache_hits = 0;      // cached-artifact runs with bound params
-  int64_t param_bindings_total = 0;  // individual literals bound at Run()
-  int64_t param_guard_fallbacks = 0; // literals kept baked by a guard
-  // Codegen-flavor explorer (ServiceOptions::explore / ExploreFlavors()).
-  int64_t explore_runs = 0;        // per-shape sweeps performed
-  int64_t explore_candidates = 0;  // candidate flavors built + timed
-  int64_t flavor_overrides = 0;    // requests served under a recorded winner
-  // Per-operator latency sampling (ServiceOptions::prof_sample_every).
-  int64_t prof_samples = 0;        // profiled runs folded into lb2_op_ns
-  // Mid-query execution switches (ServiceOptions::midquery_switch): cold
-  // requests whose interpreted prefix handed off to the compiled entry at a
-  // morsel boundary.
-  int64_t midquery_switches = 0;
-  // Cold requests whose interpreter finished before the background JIT —
-  // served without waiting for the compiler at all.
-  int64_t midquery_interp_wins = 0;
+  LB2_SERVICE_STATS(LB2_STAT_FIELD)
 
+  /// Every field as an obs::Stat, in list order: what ToString,
+  /// QueryService::MetricsPrometheus() and MetricsJson() render.
+  std::vector<obs::Stat> List() const;
   /// One-line human-readable rendering for shells and drivers.
-  std::string ToString() const;
+  std::string ToString() const { return obs::RenderStatsLine(List()); }
 };
 
 struct ServiceResult {
@@ -537,9 +607,9 @@ class QueryService {
                            const Fingerprint& fp, std::string* error,
                            bool* from_disk, obs::SpanList* spans);
 
-  /// Called with mu_ held: the flight building `fp`, started (and counted
-  /// in in_flight) when none is. *started = true hands the caller the duty
-  /// to build it and end it with Publish.
+  /// Called with mu_ held: the flight building `fp`, started when none is.
+  /// *started = true hands the caller the duty to build it and end it with
+  /// Publish.
   std::shared_ptr<InFlight> JoinOrStartLocked(const Fingerprint& fp,
                                               bool* started);
   /// Ends `flight`: retires it from the table, records the outcome, raises
@@ -610,37 +680,11 @@ class QueryService {
   std::unordered_set<uint64_t> winner_probed_;
   std::unordered_set<uint64_t> exploring_;
 
-  /// Lock-free mirror of the ServiceStats counters the service itself owns
-  /// (cache/gate/store counters live in those components). Mutations are
-  /// relaxed atomic adds off every mutex — the warm hit path touches no
-  /// lock for stats; Stats() assembles the snapshot from relaxed loads.
+  /// The `own` rows of LB2_SERVICE_STATS. Mutations are relaxed atomic adds
+  /// off every mutex — the warm hit path touches no lock for stats; Stats()
+  /// loads these and reads the `pull` rows from their owners.
   struct StatCounters {
-    std::atomic<int64_t> requests{0};
-    std::atomic<int64_t> hits{0};
-    std::atomic<int64_t> misses{0};
-    std::atomic<int64_t> compiles{0};
-    std::atomic<int64_t> compile_failures{0};
-    std::atomic<int64_t> interp_while_compiling{0};
-    std::atomic<int64_t> interp_fallbacks{0};
-    std::atomic<int64_t> in_flight{0};
-    std::atomic<int64_t> busy_rejections{0};
-    std::atomic<int64_t> drift_recompiles{0};
-    std::atomic<int64_t> cc_retries{0};
-    std::atomic<int64_t> breaker_trips{0};
-    std::atomic<int64_t> breaker_served{0};
-    std::atomic<int64_t> breaker_rebuilds{0};
-    std::atomic<int64_t> drain_sheds{0};
-    std::atomic<int64_t> param_cache_hits{0};
-    std::atomic<int64_t> param_bindings_total{0};
-    std::atomic<int64_t> param_guard_fallbacks{0};
-    std::atomic<int64_t> explore_runs{0};
-    std::atomic<int64_t> explore_candidates{0};
-    std::atomic<int64_t> flavor_overrides{0};
-    std::atomic<int64_t> prof_samples{0};
-    std::atomic<int64_t> midquery_switches{0};
-    std::atomic<int64_t> midquery_interp_wins{0};
-    std::atomic<double> compile_ms_saved{0.0};
-    std::atomic<double> compile_ms_paid{0.0};
+    LB2_SERVICE_STATS(LB2_STAT_ATOMIC)
   };
   StatCounters stats_;
   std::atomic<bool> draining_{false};

@@ -167,25 +167,6 @@ TEST(ServiceDriftTest, EightConcurrentDriftedRequestsSingleCompile) {
   EXPECT_EQ(svc.Execute(q).path, ServiceResult::Path::kCompiledCached);
 }
 
-TEST(ServiceDriftTest, BackgroundRecompileOffMakesDriftACodeMiss) {
-  std::unique_ptr<rt::Database> db = MakeDb(800);
-  ServiceOptions opts = NoDiskOpts();
-  opts.background_recompile = false;
-  QueryService svc(*db, opts);
-  plan::Query q = sql::ParseQuery(kSql, *db);
-  ASSERT_EQ(svc.Execute(q).path, ServiceResult::Path::kCompiledCold);
-
-  Grow(db.get(), 800, 200);
-  const std::string want = volcano::Execute(q, *db);
-  ServiceResult r = svc.Execute(q);
-  // The knob off restores the old behavior: the client pays the JIT.
-  EXPECT_EQ(r.path, ServiceResult::Path::kCompiledCold);
-  EXPECT_EQ(tpch::DiffResults(want, r.text, /*order_sensitive=*/true), "");
-  ServiceStats stats = svc.Stats();
-  EXPECT_EQ(stats.drift_recompiles, 0);
-  EXPECT_EQ(stats.compiles, 2);
-}
-
 TEST(ServiceDriftTest, DriftRecompilePersistsNewArtifact) {
   // Drift + disk tier: the background rebuild writes the new key's
   // artifact, so a later process starts warm on the *drifted* database.

