@@ -56,7 +56,8 @@
 #                            #   -> BENCH_service.json, plus the obs
 #                            #   overhead gate (metrics on vs off, faults
 #                            #   compiled in but disarmed, and the flight
-#                            #   recorder armed), plus the
+#                            #   recorder armed; the median ratio over
+#                            #   OBS_ROUNDS=5 interleaved rounds), plus the
 #                            #   codegen-flavor gate -> BENCH_flavors.json
 #                            #   (vec >= 1.3x dc on the scan shape; blended
 #                            #   never worse than the better pure flavor;
@@ -517,85 +518,83 @@ EOF
 
 # Observability must stay off the warm hot path: run the same-entry warm
 # benchmark with metrics recording off and on, and fail if the instrumented
-# build loses more than 5% throughput on any matching benchmark. Medians
-# over 3 repetitions — single short runs are too noisy for a 5% gate.
+# build loses more than 5% throughput on any matching benchmark.
 #
-# A third run arms a fault plan that can never fire on the warm path
+# A third mode arms a fault plan that can never fire on the warm path
 # (cc_exec has no warm-path site; every=1000000 keeps it inert even during
 # warmup) and holds it to the same 5% gate against metrics-off: fault
 # injection is compiled in always, so its disarmed/armed-but-idle cost must
 # be indistinguishable from zero.
 #
-# A fourth run arms the flight recorder (LB2_BENCH_RECORDER=1): every warm
+# A fourth mode arms the flight recorder (LB2_BENCH_RECORDER=1): every warm
 # request assembles a RecordedTrace and runs the tail-sampling keep
 # decision exactly as the socketed server's workers do. Warm requests are
 # fast, so almost everything takes the drop path — one relaxed atomic —
 # which is precisely the cost the gate must bound.
+#
+# On a shared host one back-to-back run per mode cannot resolve 5%: single
+# on/off ratios spread over 0.7-1.7 between identical builds. So the four
+# modes run in OBS_ROUNDS (default 5) interleaved rounds, the mode order
+# rotating by one each round so no mode always runs first or last, each
+# benchmark for 0.5 s. Every round's per-mode ratio to that round's
+# metrics-off rate is printed, and the gate reads the median of those
+# ratios across rounds.
 obs_overhead() {
-  LB2_SF="${LB2_SF:-0.01}" LB2_METRICS=0 \
-    ./build/bench/bench_service_throughput \
-    --benchmark_filter='BM_WarmSameEntry' \
-    --benchmark_min_time=0.2 \
-    --benchmark_repetitions=3 \
-    --benchmark_report_aggregates_only=true \
-    --benchmark_out=BENCH_obs_off.json \
-    --benchmark_out_format=json
-  LB2_SF="${LB2_SF:-0.01}" LB2_METRICS=1 \
-    ./build/bench/bench_service_throughput \
-    --benchmark_filter='BM_WarmSameEntry' \
-    --benchmark_min_time=0.2 \
-    --benchmark_repetitions=3 \
-    --benchmark_report_aggregates_only=true \
-    --benchmark_out=BENCH_obs_on.json \
-    --benchmark_out_format=json
-  LB2_SF="${LB2_SF:-0.01}" LB2_METRICS=0 \
-    LB2_FAULTS='cc_exec:fail:every=1000000' \
-    ./build/bench/bench_service_throughput \
-    --benchmark_filter='BM_WarmSameEntry' \
-    --benchmark_min_time=0.2 \
-    --benchmark_repetitions=3 \
-    --benchmark_report_aggregates_only=true \
-    --benchmark_out=BENCH_obs_faults.json \
-    --benchmark_out_format=json
-  LB2_SF="${LB2_SF:-0.01}" LB2_METRICS=1 LB2_BENCH_RECORDER=1 \
-    ./build/bench/bench_service_throughput \
-    --benchmark_filter='BM_WarmSameEntry' \
-    --benchmark_min_time=0.2 \
-    --benchmark_repetitions=3 \
-    --benchmark_report_aggregates_only=true \
-    --benchmark_out=BENCH_obs_recorder.json \
-    --benchmark_out_format=json
-  python3 - <<'EOF'
+  local rounds="${OBS_ROUNDS:-5}"
+  local modes=(off on faults recorder)
+  local r k mode
+  rm -f BENCH_obs_*.json
+  for ((r = 0; r < rounds; r++)); do
+    for ((k = 0; k < ${#modes[@]}; k++)); do
+      mode="${modes[$(((r + k) % ${#modes[@]}))]}"
+      local env=(LB2_SF="${LB2_SF:-0.01}" LB2_METRICS=0)
+      case "$mode" in
+        on) env+=(LB2_METRICS=1) ;;
+        faults) env+=(LB2_FAULTS='cc_exec:fail:every=1000000') ;;
+        recorder) env+=(LB2_METRICS=1 LB2_BENCH_RECORDER=1) ;;
+      esac
+      env "${env[@]}" ./build/bench/bench_service_throughput \
+        --benchmark_filter='BM_WarmSameEntry' \
+        --benchmark_min_time=0.5 \
+        --benchmark_out="BENCH_obs_${mode}_${r}.json" \
+        --benchmark_out_format=json >/dev/null
+    done
+  done
+  OBS_ROUNDS="$rounds" python3 - <<'EOF'
 import json
+import os
+import statistics
 
-def rates(path):
-    out = {}
-    with open(path) as f:
+def rates(mode, r):
+    with open(f"BENCH_obs_{mode}_{r}.json") as f:
         data = json.load(f)
-    for b in data.get("benchmarks", []):
-        if b.get("aggregate_name") != "median":
-            continue
-        r = b.get("items_per_second")
-        if r:
-            out[b["name"]] = r
-    return out
+    return {b["name"]: b["items_per_second"]
+            for b in data.get("benchmarks", []) if b.get("items_per_second")}
 
-off = rates("BENCH_obs_off.json")
+rounds = int(os.environ["OBS_ROUNDS"])
+labels = (("on", "on"), ("faults", "faults-armed"),
+          ("recorder", "recorder-armed"))
+ratios = {}  # (label, benchmark) -> per-round ratios to metrics-off
+for r in range(rounds):
+    off = rates("off", r)
+    for mode, label in labels:
+        other = rates(mode, r)
+        for name, off_rate in sorted(off.items()):
+            rate = other.get(name)
+            if rate is None:
+                continue
+            ratio = rate / off_rate
+            ratios.setdefault((label, name), []).append(ratio)
+            print(f"obs-overhead round {r} {name}: off={off_rate:.0f}/s "
+                  f"{label}={rate:.0f}/s ratio={ratio:.3f}")
 failed = False
-for label, path in (("on", "BENCH_obs_on.json"),
-                    ("faults-armed", "BENCH_obs_faults.json"),
-                    ("recorder-armed", "BENCH_obs_recorder.json")):
-    other = rates(path)
-    for name, off_rate in sorted(off.items()):
-        rate = other.get(name)
-        if rate is None:
-            continue
-        ratio = rate / off_rate
-        status = "ok" if ratio >= 0.95 else "FAIL"
-        if ratio < 0.95:
-            failed = True
-        print(f"obs-overhead {name}: off={off_rate:.0f}/s "
-              f"{label}={rate:.0f}/s ratio={ratio:.3f} [{status}]")
+for (label, name), rs in sorted(ratios.items()):
+    med = statistics.median(rs)
+    status = "ok" if med >= 0.95 else "FAIL"
+    failed |= med < 0.95
+    print(f"obs-overhead {name} {label}: median ratio over {len(rs)} "
+          f"rounds = {med:.3f} (rounds {min(rs):.3f}-{max(rs):.3f}) "
+          f"[{status}]")
 if failed:
     raise SystemExit("warm throughput regressed more than 5% "
                      "(metrics, fault sites, or the flight recorder)")

@@ -19,6 +19,10 @@ namespace {
 
 bool FillAddr(const std::string& host, int port, sockaddr_in* addr,
               std::string* error) {
+  if (port < 0 || port > 65535) {
+    *error = StrPrintf("port %d out of range (0-65535)", port);
+    return false;
+  }
   std::memset(addr, 0, sizeof(*addr));
   addr->sin_family = AF_INET;
   addr->sin_port = htons(static_cast<uint16_t>(port));

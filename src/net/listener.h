@@ -12,7 +12,8 @@ namespace lb2::net {
 
 /// Binds and listens on host:port (SO_REUSEADDR, non-blocking, CLOEXEC).
 /// `port` 0 asks the kernel for an ephemeral port — read it back with
-/// LocalPort. Returns the listening fd, or -1 with *error filled.
+/// LocalPort. Returns the listening fd, or -1 with *error filled (also for
+/// a port outside 0-65535, which is never truncated to 16 bits).
 int ListenTcp(const std::string& host, int port, std::string* error);
 
 /// Blocking connect to host:port (CLOEXEC, TCP_NODELAY). Returns the fd,

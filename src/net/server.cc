@@ -41,8 +41,8 @@ void DrainSignalHandler(int /*sig*/) {
 
 }  // namespace
 
-int DefaultPort() { return EnvNumber("LB2_PORT", 7878, 0); }
-int DefaultAdminPort() { return EnvNumber("LB2_ADMIN_PORT", 7879, 0); }
+int DefaultPort() { return EnvNumber("LB2_PORT", 7878, 0, 65535); }
+int DefaultAdminPort() { return EnvNumber("LB2_ADMIN_PORT", 7879, 0, 65535); }
 int DefaultNetThreads() { return EnvNumber("LB2_NET_THREADS", 4, 1); }
 
 double DefaultDrainTimeoutMs() {

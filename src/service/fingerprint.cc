@@ -362,9 +362,9 @@ Fingerprint FingerprintQuery(const plan::Query& q,
   HashOptions(&h, opts);
   Fingerprint fp;
   fp.shape = h.hash();  // plan + options prefix, before database identity
-  HashDatabase(&h, db);
-  fp.hash = h.hash();
   fp.db = FingerprintDatabase(db);
+  h.U64(fp.db);  // one walk of the tables serves both fp.db and fp.hash
+  fp.hash = h.hash();
   return fp;
 }
 

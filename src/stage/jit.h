@@ -139,10 +139,10 @@ class Jit {
 
   /// Flags always appended to the compile command for generated TUs:
   /// `-fopenmp-simd` (honor the prelude's `omp simd` hints without the
-  /// OpenMP runtime) plus `-mavx2` when this host's CPU supports AVX2 —
-  /// the prelude's explicit AVX2 kernels light up only then. Folded into
-  /// CompilerIdentity() so shared artifact directories never serve an
-  /// AVX2 object to a host that cannot execute it.
+  /// OpenMP runtime) plus `-mavx2` when this host's CPU supports AVX2, so
+  /// the compiler vectorizes the prelude's filter loops 256 bits wide.
+  /// Folded into CompilerIdentity() so shared artifact directories never
+  /// serve an AVX2 object to a host that cannot execute it.
   static std::string CodegenFlags();
 
   /// Identity string for the current compiler command: the resolved binary

@@ -196,96 +196,38 @@ static double lb2_now_ms(void) {
 /* Batch-at-a-time filter kernels for the vectorized codegen flavor. The
    generated code calls these with restrict-qualified column pointers
    (already offset to the batch base), a 0/1 byte flag array, and a
-   selection vector of batch-relative row offsets. Scalar loops carry
-   `omp simd` hints (-fopenmp-simd); the hottest int64/double comparisons
-   take an explicit AVX2 path when the JIT compiles with -mavx2.
-   Comparison semantics match the scalar expression evaluator exactly,
-   including NaN: ordered compares are false, != is true. */
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#define LB2_VFLAG_I64_AVX2(MASK)                                         \
-  {                                                                      \
-    __m256i vr = _mm256_set1_epi64x(rhs);                                \
-    for (; i + 4 <= n; i += 4) {                                         \
-      __m256i v = _mm256_loadu_si256((const __m256i*)(p + i));           \
-      int m = (MASK);                                                    \
-      flags[i] = (uint8_t)(m & 1);                                       \
-      flags[i + 1] = (uint8_t)((m >> 1) & 1);                            \
-      flags[i + 2] = (uint8_t)((m >> 2) & 1);                            \
-      flags[i + 3] = (uint8_t)((m >> 3) & 1);                            \
-    }                                                                    \
-  }
-#define LB2_VFLAG_F64_AVX2(IMM)                                          \
-  {                                                                      \
-    __m256d vr = _mm256_set1_pd(rhs);                                    \
-    for (; i + 4 <= n; i += 4) {                                         \
-      int m = _mm256_movemask_pd(                                        \
-          _mm256_cmp_pd(_mm256_loadu_pd(p + i), vr, IMM));               \
-      flags[i] = (uint8_t)(m & 1);                                       \
-      flags[i + 1] = (uint8_t)((m >> 1) & 1);                            \
-      flags[i + 2] = (uint8_t)((m >> 2) & 1);                            \
-      flags[i + 3] = (uint8_t)((m >> 3) & 1);                            \
-    }                                                                    \
-  }
-#else
-#define LB2_VFLAG_I64_AVX2(MASK)
-#define LB2_VFLAG_F64_AVX2(IMM)
-#endif
-
-#define LB2_VFLAG_I64(NAME, OP, MASK)                                    \
-static void NAME(const int64_t* restrict p, int64_t n, int64_t rhs,      \
-                 uint8_t* restrict flags) {                              \
-  int64_t i = 0;                                                         \
-  LB2_VFLAG_I64_AVX2(MASK)                                               \
-  /* omp simd needs a canonical loop: tail restarts from the AVX2 cut */ \
-  _Pragma("omp simd")                                                    \
-  for (int64_t j = i; j < n; j++) flags[j] = (uint8_t)(p[j] OP rhs);     \
-}
-
-#define LB2_VFLAG_I32(NAME, OP)                                          \
-static void NAME(const int32_t* restrict p, int64_t n, int64_t rhs,      \
+   selection vector of batch-relative row offsets. Each flag kernel is one
+   `omp simd` loop (-fopenmp-simd); the compiler vectorizes it for the
+   target the JIT compiles for. Column type T compares as R (a date's
+   int32 widens to int64), matching the scalar expression evaluator
+   exactly, including NaN: ordered compares are false, != is true. */
+#define LB2_VFLAG(NAME, T, R, OP)                                        \
+static void NAME(const T* restrict p, int64_t n, R rhs,                  \
                  uint8_t* restrict flags) {                              \
   _Pragma("omp simd")                                                    \
-  for (int64_t i = 0; i < n; i++)                                        \
-    flags[i] = (uint8_t)((int64_t)p[i] OP rhs);                          \
+  for (int64_t i = 0; i < n; i++) flags[i] = (uint8_t)((R)p[i] OP rhs);  \
 }
 
-#define LB2_VFLAG_F64(NAME, OP, IMM)                                     \
-static void NAME(const double* restrict p, int64_t n, double rhs,        \
-                 uint8_t* restrict flags) {                              \
-  int64_t i = 0;                                                         \
-  LB2_VFLAG_F64_AVX2(IMM)                                                \
-  _Pragma("omp simd")                                                    \
-  for (int64_t j = i; j < n; j++) flags[j] = (uint8_t)(p[j] OP rhs);     \
-}
+LB2_VFLAG(lb2_vflag_i64_lt, int64_t, int64_t, <)
+LB2_VFLAG(lb2_vflag_i64_le, int64_t, int64_t, <=)
+LB2_VFLAG(lb2_vflag_i64_gt, int64_t, int64_t, >)
+LB2_VFLAG(lb2_vflag_i64_ge, int64_t, int64_t, >=)
+LB2_VFLAG(lb2_vflag_i64_eq, int64_t, int64_t, ==)
+LB2_VFLAG(lb2_vflag_i64_ne, int64_t, int64_t, !=)
 
-LB2_VFLAG_I64(lb2_vflag_i64_lt, <,
-  _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(vr, v))))
-LB2_VFLAG_I64(lb2_vflag_i64_le, <=,
-  _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(v, vr))) ^ 15)
-LB2_VFLAG_I64(lb2_vflag_i64_gt, >,
-  _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(v, vr))))
-LB2_VFLAG_I64(lb2_vflag_i64_ge, >=,
-  _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(vr, v))) ^ 15)
-LB2_VFLAG_I64(lb2_vflag_i64_eq, ==,
-  _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(v, vr))))
-LB2_VFLAG_I64(lb2_vflag_i64_ne, !=,
-  _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(v, vr))) ^ 15)
+LB2_VFLAG(lb2_vflag_i32_lt, int32_t, int64_t, <)
+LB2_VFLAG(lb2_vflag_i32_le, int32_t, int64_t, <=)
+LB2_VFLAG(lb2_vflag_i32_gt, int32_t, int64_t, >)
+LB2_VFLAG(lb2_vflag_i32_ge, int32_t, int64_t, >=)
+LB2_VFLAG(lb2_vflag_i32_eq, int32_t, int64_t, ==)
+LB2_VFLAG(lb2_vflag_i32_ne, int32_t, int64_t, !=)
 
-LB2_VFLAG_I32(lb2_vflag_i32_lt, <)
-LB2_VFLAG_I32(lb2_vflag_i32_le, <=)
-LB2_VFLAG_I32(lb2_vflag_i32_gt, >)
-LB2_VFLAG_I32(lb2_vflag_i32_ge, >=)
-LB2_VFLAG_I32(lb2_vflag_i32_eq, ==)
-LB2_VFLAG_I32(lb2_vflag_i32_ne, !=)
-
-LB2_VFLAG_F64(lb2_vflag_f64_lt, <, _CMP_LT_OQ)
-LB2_VFLAG_F64(lb2_vflag_f64_le, <=, _CMP_LE_OQ)
-LB2_VFLAG_F64(lb2_vflag_f64_gt, >, _CMP_GT_OQ)
-LB2_VFLAG_F64(lb2_vflag_f64_ge, >=, _CMP_GE_OQ)
-LB2_VFLAG_F64(lb2_vflag_f64_eq, ==, _CMP_EQ_OQ)
-LB2_VFLAG_F64(lb2_vflag_f64_ne, !=, _CMP_NEQ_UQ)
+LB2_VFLAG(lb2_vflag_f64_lt, double, double, <)
+LB2_VFLAG(lb2_vflag_f64_le, double, double, <=)
+LB2_VFLAG(lb2_vflag_f64_gt, double, double, >)
+LB2_VFLAG(lb2_vflag_f64_ge, double, double, >=)
+LB2_VFLAG(lb2_vflag_f64_eq, double, double, ==)
+LB2_VFLAG(lb2_vflag_f64_ne, double, double, !=)
 
 /* Turns a flag batch into a selection vector of batch-relative offsets
    (branch-free append). Returns the selected count. */
@@ -301,71 +243,41 @@ static int64_t lb2_vcompact(const uint8_t* restrict flags, int64_t n,
 
 /* Refines a selection vector in place against one more conjunct
    (branch-free compaction). Returns the surviving count. */
-#define LB2_VREFINE_I64(NAME, OP)                                        \
-static int64_t NAME(const int64_t* restrict p, int32_t* restrict sel,    \
-                    int64_t cnt, int64_t rhs) {                          \
+#define LB2_VREFINE(NAME, T, R, OP)                                      \
+static int64_t NAME(const T* restrict p, int32_t* restrict sel,          \
+                    int64_t cnt, R rhs) {                                \
   int64_t out = 0;                                                       \
   for (int64_t k = 0; k < cnt; k++) {                                    \
     int32_t j = sel[k];                                                  \
     sel[out] = j;                                                        \
-    out += (int64_t)(p[j] OP rhs);                                       \
+    out += (int64_t)((R)p[j] OP rhs);                                    \
   }                                                                      \
   return out;                                                            \
 }
 
-#define LB2_VREFINE_I32(NAME, OP)                                        \
-static int64_t NAME(const int32_t* restrict p, int32_t* restrict sel,    \
-                    int64_t cnt, int64_t rhs) {                          \
-  int64_t out = 0;                                                       \
-  for (int64_t k = 0; k < cnt; k++) {                                    \
-    int32_t j = sel[k];                                                  \
-    sel[out] = j;                                                        \
-    out += (int64_t)((int64_t)p[j] OP rhs);                              \
-  }                                                                      \
-  return out;                                                            \
-}
+LB2_VREFINE(lb2_vrefine_i64_lt, int64_t, int64_t, <)
+LB2_VREFINE(lb2_vrefine_i64_le, int64_t, int64_t, <=)
+LB2_VREFINE(lb2_vrefine_i64_gt, int64_t, int64_t, >)
+LB2_VREFINE(lb2_vrefine_i64_ge, int64_t, int64_t, >=)
+LB2_VREFINE(lb2_vrefine_i64_eq, int64_t, int64_t, ==)
+LB2_VREFINE(lb2_vrefine_i64_ne, int64_t, int64_t, !=)
 
-#define LB2_VREFINE_F64(NAME, OP)                                        \
-static int64_t NAME(const double* restrict p, int32_t* restrict sel,     \
-                    int64_t cnt, double rhs) {                           \
-  int64_t out = 0;                                                       \
-  for (int64_t k = 0; k < cnt; k++) {                                    \
-    int32_t j = sel[k];                                                  \
-    sel[out] = j;                                                        \
-    out += (int64_t)(p[j] OP rhs);                                       \
-  }                                                                      \
-  return out;                                                            \
-}
+LB2_VREFINE(lb2_vrefine_i32_lt, int32_t, int64_t, <)
+LB2_VREFINE(lb2_vrefine_i32_le, int32_t, int64_t, <=)
+LB2_VREFINE(lb2_vrefine_i32_gt, int32_t, int64_t, >)
+LB2_VREFINE(lb2_vrefine_i32_ge, int32_t, int64_t, >=)
+LB2_VREFINE(lb2_vrefine_i32_eq, int32_t, int64_t, ==)
+LB2_VREFINE(lb2_vrefine_i32_ne, int32_t, int64_t, !=)
 
-LB2_VREFINE_I64(lb2_vrefine_i64_lt, <)
-LB2_VREFINE_I64(lb2_vrefine_i64_le, <=)
-LB2_VREFINE_I64(lb2_vrefine_i64_gt, >)
-LB2_VREFINE_I64(lb2_vrefine_i64_ge, >=)
-LB2_VREFINE_I64(lb2_vrefine_i64_eq, ==)
-LB2_VREFINE_I64(lb2_vrefine_i64_ne, !=)
+LB2_VREFINE(lb2_vrefine_f64_lt, double, double, <)
+LB2_VREFINE(lb2_vrefine_f64_le, double, double, <=)
+LB2_VREFINE(lb2_vrefine_f64_gt, double, double, >)
+LB2_VREFINE(lb2_vrefine_f64_ge, double, double, >=)
+LB2_VREFINE(lb2_vrefine_f64_eq, double, double, ==)
+LB2_VREFINE(lb2_vrefine_f64_ne, double, double, !=)
 
-LB2_VREFINE_I32(lb2_vrefine_i32_lt, <)
-LB2_VREFINE_I32(lb2_vrefine_i32_le, <=)
-LB2_VREFINE_I32(lb2_vrefine_i32_gt, >)
-LB2_VREFINE_I32(lb2_vrefine_i32_ge, >=)
-LB2_VREFINE_I32(lb2_vrefine_i32_eq, ==)
-LB2_VREFINE_I32(lb2_vrefine_i32_ne, !=)
-
-LB2_VREFINE_F64(lb2_vrefine_f64_lt, <)
-LB2_VREFINE_F64(lb2_vrefine_f64_le, <=)
-LB2_VREFINE_F64(lb2_vrefine_f64_gt, >)
-LB2_VREFINE_F64(lb2_vrefine_f64_ge, >=)
-LB2_VREFINE_F64(lb2_vrefine_f64_eq, ==)
-LB2_VREFINE_F64(lb2_vrefine_f64_ne, !=)
-
-#undef LB2_VFLAG_I64_AVX2
-#undef LB2_VFLAG_F64_AVX2
-#undef LB2_VFLAG_I64
-#undef LB2_VFLAG_I32
-#undef LB2_VFLAG_F64
-#undef LB2_VREFINE_I64
-#undef LB2_VREFINE_I32
-#undef LB2_VREFINE_F64
+#undef LB2_VFLAG
+#undef LB2_VREFINE
 )PRELUDE";
 
 }  // namespace lb2::stage

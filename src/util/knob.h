@@ -1,6 +1,6 @@
 // Strict parsing for the LB2_* numeric and on/off environment knobs. A
-// knob counts only when all of its value parses and meets the knob's
-// minimum; anything else ("abc", "1s", "-4", "") keeps the default and logs
+// knob counts only when all of its value parses and lies in the knob's
+// range; anything else ("abc", "1s", "-4", "") keeps the default and logs
 // a warning, so a typo never silently reads as 0 or as "on".
 #ifndef LB2_UTIL_KNOB_H_
 #define LB2_UTIL_KNOB_H_
@@ -17,10 +17,11 @@
 namespace lb2 {
 
 /// The numeric knob `name`, or `def` when it is unset. A value that is not
-/// a number of T at or above `min` keeps `def` and logs a warning. Integers
+/// a number of T in [min, max] keeps `def` and logs a warning. Integers
 /// parse in base 10 only.
 template <typename T>
-T EnvNumber(const char* name, T def, T min) {
+T EnvNumber(const char* name, T def, T min,
+            T max = std::numeric_limits<T>::max()) {
   const char* env = std::getenv(name);
   if (env == nullptr) return def;
   errno = 0;
@@ -30,10 +31,16 @@ T EnvNumber(const char* name, T def, T min) {
           ? static_cast<long double>(std::strtoll(env, &end, 10))
           : std::strtold(env, &end);
   if (end == env || *end != '\0' || errno != 0 || !(v >= min) ||
-      v > static_cast<long double>(std::numeric_limits<T>::max())) {
-    LB2_LOG(Warn, "[lb2-knob] ignoring %s=%s: want a number >= %g; "
-            "keeping %g", name, env, static_cast<double>(min),
-            static_cast<double>(def));
+      v > static_cast<long double>(max)) {
+    if (max < std::numeric_limits<T>::max()) {
+      LB2_LOG(Warn, "[lb2-knob] ignoring %s=%s: want a number in "
+              "[%g, %g]; keeping %g", name, env, static_cast<double>(min),
+              static_cast<double>(max), static_cast<double>(def));
+    } else {
+      LB2_LOG(Warn, "[lb2-knob] ignoring %s=%s: want a number >= %g; "
+              "keeping %g", name, env, static_cast<double>(min),
+              static_cast<double>(def));
+    }
     return def;
   }
   return static_cast<T>(v);

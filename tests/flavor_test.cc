@@ -7,16 +7,22 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <thread>
+#include <vector>
 
 #include "compile/lb2_compiler.h"
 #include "engine/exec.h"
 #include "engine/interp_backend.h"
 #include "service/fingerprint.h"
 #include "service/service.h"
+#include "stage/jit.h"
+#include "stage/prelude.h"
 #include "testing/faults.h"
 #include "tpch/answers.h"
 #include "tpch/dbgen.h"
+#include "util/str.h"
 #include "volcano/volcano.h"
 
 namespace lb2 {
@@ -162,6 +168,124 @@ TEST_F(FlavorTest, ParameterizedKernelRhsBindsAtRun) {
       service::ParameterizeQuery(q2, /*dict_sensitive=*/false);
   std::string oracle = volcano::Execute(q2, *db_);
   EXPECT_EQ(tpch::DiffResults(oracle, cq.Run(&pq.params).text, false), "");
+}
+
+// ---------------------------------------------------------------------------
+// Prelude kernels: every filter kernel against engine::VecCmp
+// ---------------------------------------------------------------------------
+
+constexpr ExprOp kCmpOps[] = {ExprOp::kLt, ExprOp::kLe, ExprOp::kGt,
+                              ExprOp::kGe, ExprOp::kEq, ExprOp::kNe};
+
+/// The prelude plus exported tables of its (static) filter kernels, one
+/// table per family and column type in kCmpOps order, so the host can call
+/// each kernel directly.
+std::string KernelDriverSource() {
+  std::string src = stage::kCPrelude;
+  for (const char* fam : {"vflag", "vrefine"}) {
+    for (const char* ty : {"i64", "i32", "f64"}) {
+      src += StrPrintf("void* const lb2_t_%s_%s[] = {", fam, ty);
+      for (ExprOp op : kCmpOps) {
+        src += StrPrintf("(void*)lb2_%s_%s_%s, ", fam, ty,
+                         engine::VecCmpName(op));
+      }
+      src += "};\n";
+    }
+  }
+  return src + "void* const lb2_t_vcompact = (void*)lb2_vcompact;\n";
+}
+
+/// Runs every op of one column type's flag and refine kernels, then
+/// lb2_vcompact on the flags, over columns that cycle through `vals`, for
+/// every rhs in `rhss`. Column type T compares as R, as in the prelude.
+template <typename T, typename R>
+void CheckKernels(const stage::JitModule& m, const std::string& ty,
+                  const std::vector<T>& vals, const std::vector<R>& rhss) {
+  using FlagFn = void (*)(const T*, int64_t, R, uint8_t*);
+  using RefineFn = int64_t (*)(const T*, int32_t*, int64_t, R);
+  using CompactFn = int64_t (*)(const uint8_t*, int64_t, int32_t*);
+  void* const* flag_fns = m.sym<void* const>("lb2_t_vflag_" + ty);
+  void* const* refine_fns = m.sym<void* const>("lb2_t_vrefine_" + ty);
+  auto compact =
+      reinterpret_cast<CompactFn>(*m.sym<void* const>("lb2_t_vcompact"));
+  const size_t kTail = 8;  // sentinel bytes past n: no kernel writes there
+  for (int64_t n : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1027}) {
+    // A stride coprime to vals.size(), so every value meets every lane.
+    std::vector<T> col(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) col[i] = vals[(i * 5 + n) % vals.size()];
+    for (R rhs : rhss) {
+      for (size_t k = 0; k < std::size(kCmpOps); ++k) {
+        const ExprOp op = kCmpOps[k];
+        const std::string what = StrPrintf(
+            "%s_%s n=%lld rhs=%.17g", ty.c_str(), engine::VecCmpName(op),
+            static_cast<long long>(n), static_cast<double>(rhs));
+        std::vector<uint8_t> pass(static_cast<size_t>(n));
+        std::vector<int32_t> all, strided;  // selections to refine
+        std::vector<int32_t> want, want_strided;
+        for (int32_t i = 0; i < n; ++i) {
+          pass[i] = engine::VecCmp<R>(op, static_cast<R>(col[i]), rhs);
+          all.push_back(i);
+          if (pass[i]) want.push_back(i);
+          if (i % 3 == 1) continue;
+          strided.push_back(i);
+          if (pass[i]) want_strided.push_back(i);
+        }
+        std::vector<uint8_t> flags(n + kTail, 0xAA);
+        reinterpret_cast<FlagFn>(flag_fns[k])(col.data(), n, rhs,
+                                              flags.data());
+        for (int64_t i = 0; i < n; ++i) {
+          ASSERT_EQ(flags[i], pass[i]) << what << " row " << i;
+        }
+        for (size_t i = n; i < flags.size(); ++i) {
+          ASSERT_EQ(flags[i], 0xAA) << what << " wrote past n at " << i;
+        }
+        std::vector<int32_t> sel(n + kTail, -1);
+        sel.resize(compact(flags.data(), n, sel.data()));
+        ASSERT_EQ(sel, want) << "vcompact after " << what;
+        auto refine = reinterpret_cast<RefineFn>(refine_fns[k]);
+        auto refined = [&](std::vector<int32_t> in) {
+          in.resize(refine(col.data(), in.data(),
+                           static_cast<int64_t>(in.size()), rhs));
+          return in;
+        };
+        ASSERT_EQ(refined(all), want) << "vrefine(all rows) " << what;
+        ASSERT_EQ(refined(strided), want_strided)
+            << "vrefine(strided rows) " << what;
+      }
+    }
+  }
+}
+
+TEST(PreludeKernelTest, EveryFilterKernelMatchesVecCmp) {
+  // NaN (both signs), signed zeros, infinities, denormals and the integer
+  // extremes, over every tail length of a 4-lane loop and a full batch.
+  // With -mno-avx2 the loops compile for baseline x86-64, the only path
+  // on hosts without AVX2.
+  using I64 = std::numeric_limits<int64_t>;
+  using I32 = std::numeric_limits<int32_t>;
+  using F64 = std::numeric_limits<double>;
+  const std::vector<int64_t> i64s = {I64::min(), I64::min() + 1, -1, 0, 1,
+                                     42, I64::max() - 1, I64::max()};
+  const std::vector<int32_t> i32s = {I32::min(), I32::min() + 1, -1, 0, 1,
+                                     19940101, I32::max() - 1, I32::max()};
+  const std::vector<int64_t> i32_rhss = {
+      I64::min(), int64_t{I32::min()} - 1, I32::min(), -1, 0, 19940101,
+      I32::max(), int64_t{I32::max()} + 1, I64::max()};
+  const std::vector<double> f64s = {
+      F64::quiet_NaN(), -F64::quiet_NaN(), -F64::infinity(), F64::lowest(),
+      -1.5, -0.0, 0.0, F64::denorm_min(), 1.5, F64::max(), F64::infinity()};
+  std::vector<std::string> flag_sets = {""};
+#if defined(__x86_64__)
+  flag_sets.push_back("-mno-avx2");
+#endif
+  const std::string src = KernelDriverSource();
+  for (const std::string& flags : flag_sets) {
+    SCOPED_TRACE("codegen flags:" + stage::Jit::CodegenFlags() + " " + flags);
+    auto m = stage::Jit::CompileSource(src, "kernels", flags);
+    CheckKernels<int64_t, int64_t>(*m, "i64", i64s, i64s);
+    CheckKernels<int32_t, int64_t>(*m, "i32", i32s, i32_rhss);
+    CheckKernels<double, double>(*m, "f64", f64s, f64s);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -357,7 +481,11 @@ TEST_F(FlavorTest, ExplorerWinnerSurvivesRestartViaSidecar) {
 }
 
 TEST_F(FlavorTest, ExplicitExploreWorksWithoutDiskTier) {
-  service::QueryService svc(*db_);  // no cache_dir, explore off
+  // No cache_dir even under LB2_CACHE_DIR: a winner sidecar left in a
+  // shared directory would re-flavor this shape for every later test.
+  service::ServiceOptions so;
+  so.cache_dir = "";
+  service::QueryService svc(*db_, so);  // explore off
   Query q = JoinBlendQuery();
   auto eo = svc.ExploreFlavors(q);
   ASSERT_TRUE(eo.ran);

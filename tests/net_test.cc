@@ -311,6 +311,24 @@ TEST(AdminHttpTest, TracesRouteSelectsFormatAnd404sWithoutHook) {
   EXPECT_EQ(RouteAdmin({"GET", "/traces", "fmt=bogus"}, hooks).body, "[]");
 }
 
+TEST(ListenerTest, ListenTcpRejectsPortsOutsideSixteenBits) {
+  // A port that does not fit 16 bits fails and names itself, instead of
+  // binding its low 16 bits (70000 would bind 4464, 65536 an ephemeral
+  // port).
+  for (int port : {70000, 65536, -1}) {
+    std::string error;
+    int fd = ListenTcp("127.0.0.1", port, &error);
+    EXPECT_LT(fd, 0) << "port " << port << " bound " << LocalPort(fd);
+    if (fd >= 0) close(fd);
+    EXPECT_NE(error.find(std::to_string(port)), std::string::npos) << error;
+  }
+  std::string error;
+  int fd = ListenTcp("127.0.0.1", 0, &error);
+  ASSERT_GE(fd, 0) << error;
+  EXPECT_GT(LocalPort(fd), 0);
+  close(fd);
+}
+
 // -- Loopback integration -----------------------------------------------------
 
 class NetServerTest : public ::testing::Test {

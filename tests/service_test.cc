@@ -323,7 +323,7 @@ TEST_F(ServiceTest, ExecuteSqlParsesAndCaches) {
 TEST(ServiceKnobTest, EnvKnobsParseStrictlyOrKeepTheirDefaults) {
   // Every numeric and on/off knob the service, the network server and the
   // flight recorder read. A value counts only when all of it parses and it
-  // meets the knob's minimum; anything else keeps the default (and logs a
+  // lies in the knob's range; anything else keeps the default (and logs a
   // warning) rather than reading as 0 or as "on".
   struct Knob {
     const char* name;
@@ -428,8 +428,13 @@ TEST(ServiceKnobTest, EnvKnobsParseStrictlyOrKeepTheirDefaults) {
       {"LB2_PORT", "0", 0},
       {"LB2_PORT", "abc", 7878},
       {"LB2_PORT", "-1", 7878},
+      // A port above 16 bits is never truncated.
+      {"LB2_PORT", "65535", 65535},
+      {"LB2_PORT", "65536", 7878},
+      {"LB2_PORT", "70000", 7878},
       {"LB2_ADMIN_PORT", "0", 0},
       {"LB2_ADMIN_PORT", "abc", 7879},
+      {"LB2_ADMIN_PORT", "70000", 7879},
       {"LB2_NET_THREADS", "8", 8},
       {"LB2_NET_THREADS", "abc", 4},
       {"LB2_NET_THREADS", "8x", 4},
