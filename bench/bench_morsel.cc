@@ -3,9 +3,11 @@
 //   cold-start — a cold Q1-style request served with the mid-query switch
 //     on (the interpreter answers off the shared dispenser while the JIT
 //     builds in the background) must beat the switch-off cold path (client
-//     waits for the external compiler) by >= 1.2x end to end. On the tiny
-//     CI scale factors the interpreter wins the race outright, so the gap
-//     is really interp-exec vs cc-invocation — orders of magnitude.
+//     waits for the external compiler) by >= 1.2x end to end. The gate
+//     assumes interpreting the prefix is much cheaper than cc. It is not:
+//     cc builds this plan in about 0.1 s, no longer than the interpreter
+//     takes, and the prefix runs beside cc, so the switch-on path loses
+//     (0.6-0.7x on a 4-thread host; ROADMAP 6(b)).
 //
 //   work stealing — the same 8-thread artifact run off small morsels must
 //     beat its static-split baseline, one morsel per thread (morsel_rows =

@@ -57,7 +57,7 @@
 #                            #   overhead gate (metrics on vs off, faults
 #                            #   compiled in but disarmed, and the flight
 #                            #   recorder armed; the median ratio over
-#                            #   OBS_ROUNDS=5 interleaved rounds), plus the
+#                            #   5 interleaved rounds), plus the
 #                            #   codegen-flavor gate -> BENCH_flavors.json
 #                            #   (vec >= 1.3x dc on the scan shape; blended
 #                            #   never worse than the better pure flavor;
@@ -534,13 +534,13 @@ EOF
 #
 # On a shared host one back-to-back run per mode cannot resolve 5%: single
 # on/off ratios spread over 0.7-1.7 between identical builds. So the four
-# modes run in OBS_ROUNDS (default 5) interleaved rounds, the mode order
+# modes run in 5 interleaved rounds, the mode order
 # rotating by one each round so no mode always runs first or last, each
 # benchmark for 0.5 s. Every round's per-mode ratio to that round's
 # metrics-off rate is printed, and the gate reads the median of those
 # ratios across rounds.
 obs_overhead() {
-  local rounds="${OBS_ROUNDS:-5}"
+  local rounds=5
   local modes=(off on faults recorder)
   local r k mode
   rm -f BENCH_obs_*.json
@@ -560,10 +560,10 @@ obs_overhead() {
         --benchmark_out_format=json >/dev/null
     done
   done
-  OBS_ROUNDS="$rounds" python3 - <<'EOF'
+  python3 - "$rounds" <<'EOF'
 import json
-import os
 import statistics
+import sys
 
 def rates(mode, r):
     with open(f"BENCH_obs_{mode}_{r}.json") as f:
@@ -571,7 +571,7 @@ def rates(mode, r):
     return {b["name"]: b["items_per_second"]
             for b in data.get("benchmarks", []) if b.get("items_per_second")}
 
-rounds = int(os.environ["OBS_ROUNDS"])
+rounds = int(sys.argv[1])
 labels = (("on", "on"), ("faults", "faults-armed"),
           ("recorder", "recorder-armed"))
 ratios = {}  # (label, benchmark) -> per-round ratios to metrics-off

@@ -32,15 +32,9 @@ T EnvNumber(const char* name, T def, T min,
           : std::strtold(env, &end);
   if (end == env || *end != '\0' || errno != 0 || !(v >= min) ||
       v > static_cast<long double>(max)) {
-    if (max < std::numeric_limits<T>::max()) {
-      LB2_LOG(Warn, "[lb2-knob] ignoring %s=%s: want a number in "
-              "[%g, %g]; keeping %g", name, env, static_cast<double>(min),
-              static_cast<double>(max), static_cast<double>(def));
-    } else {
-      LB2_LOG(Warn, "[lb2-knob] ignoring %s=%s: want a number >= %g; "
-              "keeping %g", name, env, static_cast<double>(min),
-              static_cast<double>(def));
-    }
+    LB2_LOG(Warn, "[lb2-knob] ignoring %s=%s: want a number in [%g, %g]; "
+            "keeping %g", name, env, static_cast<double>(min),
+            static_cast<double>(max), static_cast<double>(def));
     return def;
   }
   return static_cast<T>(v);
