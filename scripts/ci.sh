@@ -534,11 +534,10 @@ EOF
 #
 # On a shared host one back-to-back run per mode cannot resolve 5%: single
 # on/off ratios spread over 0.7-1.7 between identical builds. So the four
-# modes run in 5 interleaved rounds, the mode order
-# rotating by one each round so no mode always runs first or last, each
-# benchmark for 0.5 s. Every round's per-mode ratio to that round's
-# metrics-off rate is printed, and the gate reads the median of those
-# ratios across rounds.
+# modes run in 5 interleaved rounds, the mode order rotating by one each
+# round so no mode always runs first or last, each benchmark for 0.5 s.
+# Every round's per-mode ratio to that round's metrics-off rate is
+# printed, and the gate reads the median of those ratios across rounds.
 obs_overhead() {
   local rounds=5
   local modes=(off on faults recorder)
