@@ -2,11 +2,18 @@
 # CI entry point: tier-1 correctness, the ThreadSanitizer concurrency lane,
 # and the service-throughput benchmark JSON.
 #
-#   scripts/ci.sh            # tier-1 + tsan + faults + params + net
-#                            #   + tracing + flavors + morsel + soak + bench
+#   scripts/ci.sh            # tier-1 + tsan + asan + faults + params
+#                            #   + net + tracing + flavors + morsel + soak
+#                            #   + bench
 #   scripts/ci.sh tier1      # knob-table check + build + full ctest
 #   scripts/ci.sh tsan       # Debug + -fsanitize=thread,
 #                            #   `ctest -L 'service|obs'`
+#   scripts/ci.sh asan       # Debug + -fsanitize=address (build-asan),
+#                            #   `ctest -L 'engine|fuzz|tpch|flavor'`:
+#                            #   engine_test, tpch_queries_test, the
+#                            #   differential fuzzers, all 22 TPC-H plans
+#                            #   through a default service, and the flavor
+#                            #   matrix
 #   scripts/ci.sh faults     # TSan build, `ctest -L 'fuzz|fault'` with
 #                            #   extended fuzz seeds (CI_FUZZ_SEEDS=64)
 #   scripts/ci.sh params     # TSan build, `ctest -L 'fuzz|service'` with
@@ -58,11 +65,12 @@
 #                            #   compiled in but disarmed, and the flight
 #                            #   recorder armed; the median ratio over
 #                            #   5 interleaved rounds), plus the
-#                            #   codegen-flavor gate -> BENCH_flavors.json
+#                            #   codegen-flavor gate -> BENCH_flavors_*.json
 #                            #   (vec >= 1.3x dc on the scan shape; blended
 #                            #   never worse than the better pure flavor;
 #                            #   the explorer's pick within noise of the
-#                            #   best measured candidate), plus the morsel
+#                            #   best measured candidate; medians over 5
+#                            #   rotating rounds), plus the morsel
 #                            #   gate -> BENCH_morsel.json (cold request
 #                            #   with the mid-query switch >= 1.2x the
 #                            #   wait-for-cc cold path; work stealing
@@ -149,6 +157,23 @@ tsan() {
   with_cache_dir \
     ctest --test-dir build-tsan -L 'service|obs' --output-on-failure \
     -j"$(nproc)"
+}
+
+# Address-sanitizer lane. Interpreter records point at schemas their
+# operators own, and operators refill per-row records and hash-table
+# scratch they sized when they were built: a dangling schema pointer, a
+# slot past a record's end or a scratch record read after its owner went
+# away is a heap error here, not a wrong answer that happens to match.
+# The `engine` label is engine_test and tpch_queries_test (every operator
+# and all 22 plans on every engine); fuzz, tpch and flavor add the
+# differential fuzzers, the service's TPC-H matrix and the flavor matrix.
+asan() {
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DLB2_SANITIZE=address >/dev/null
+  cmake --build build-asan -j"$(nproc)"
+  with_cache_dir \
+    ctest --test-dir build-asan -L 'engine|fuzz|tpch|flavor' \
+    --output-on-failure -j"$(nproc)"
 }
 
 # Fault/degrade lane: the differential fuzzers (extended seed budget) and
@@ -450,70 +475,108 @@ EOF
 
 # Codegen-flavor perf gate: warm single-thread throughput per flavor on a
 # scan-heavy (Q6-style) and a join-heavy shape, plus the explorer's pick.
-# Medians are overkill here — the asserted ratios (2x+ observed for vec on
-# the scan shape against a 1.3x gate) leave plenty of noise headroom, and
-# the explorer comparison uses best-of-N raw Run() times on both sides.
+#
+# One 0.1 s run per flavor cannot resolve the blend gate's 5% on a shared
+# host: over 20 interleaved rounds of unchanged code it failed 1-5 times
+# with a median of 1.02. So the five modes (the four warm candidates and
+# the explorer pick, one process each) run in 5 rounds, the mode order
+# rotating by one each round so no mode always runs first or last. Every
+# round's ratios are printed, and each gate reads the median across
+# rounds; the explorer must also have recorded a winner in every round.
 bench_flavors() {
   cmake --build build -j"$(nproc)" --target bench_flavors
-  LB2_SF="${LB2_SF:-0.01}" ./build/bench/bench_flavors \
-    --benchmark_min_time=0.1 \
-    --benchmark_out=BENCH_flavors.json \
-    --benchmark_out_format=json
-  python3 - <<'EOF'
+  local rounds=5
+  local modes=(0 1 2 3 explore)
+  local r k mode filter
+  rm -f BENCH_flavors*.json
+  for ((r = 0; r < rounds; r++)); do
+    for ((k = 0; k < ${#modes[@]}; k++)); do
+      mode="${modes[$(((r + k) % ${#modes[@]}))]}"
+      if [ "$mode" = explore ]; then
+        filter='BM_ExplorerPick'
+      else
+        filter="BM_FlavorWarm/shape:[0-9]+/flavor:${mode}/"
+      fi
+      LB2_SF="${LB2_SF:-0.01}" ./build/bench/bench_flavors \
+        --benchmark_filter="$filter" \
+        --benchmark_min_time=0.1 \
+        --benchmark_out="BENCH_flavors_${mode}_${r}.json" \
+        --benchmark_out_format=json >/dev/null
+    done
+  done
+  python3 - "$rounds" <<'EOF'
 import json
+import statistics
+import sys
 
-with open("BENCH_flavors.json") as f:
-    data = json.load(f)
+def load(mode, r):
+    with open(f"BENCH_flavors_{mode}_{r}.json") as f:
+        return json.load(f).get("benchmarks", [])
 
-warm = {}    # (shape, flavor) -> items/s
-explore = {}  # shape -> counters
-for b in data.get("benchmarks", []):
-    name = b["name"]
-    if name.startswith("BM_FlavorWarm/"):
-        shape = int(name.split("shape:")[1].split("/")[0])
-        flavor = int(name.split("flavor:")[1].split("/")[0])
-        warm[(shape, flavor)] = b["items_per_second"]
-    elif name.startswith("BM_ExplorerPick/"):
-        shape = int(name.split("shape:")[1].split("/")[0])
-        explore[shape] = b
+def shape_of(b):
+    return int(b["name"].split("shape:")[1].split("/")[0])
+
+rounds = int(sys.argv[1])
+warm = []     # per round: (shape, flavor) -> items/s
+explore = []  # per round: shape -> counters
+for r in range(rounds):
+    warm.append({(shape_of(b), flavor): b["items_per_second"]
+                 for flavor in range(4) for b in load(flavor, r)})
+    explore.append({shape_of(b): b for b in load("explore", r)})
 
 failed = False
+
+def gate(label, ratios, need, higher=True):
+    global failed
+    med = statistics.median(ratios)
+    ok = med >= need if higher else med <= need
+    failed |= not ok
+    print(f"flavor-gate {label}: median over {len(ratios)} rounds = "
+          f"{med:.2f}x (need {'>=' if higher else '<='} {need}; rounds "
+          f"{min(ratios):.2f}-{max(ratios):.2f}) [{'ok' if ok else 'FAIL'}]")
+
 # Gate 1: vectorized >= 1.3x data-centric on the scan-heavy shape.
-ratio = warm[(0, 1)] / warm[(0, 0)]
-status = "ok" if ratio >= 1.3 else "FAIL"
-failed |= ratio < 1.3
-print(f"flavor-gate scan vec/dc = {ratio:.2f}x (need >= 1.3) [{status}]")
+ratios = []
+for r, w in enumerate(warm):
+    ratios.append(w[(0, 1)] / w[(0, 0)])
+    print(f"flavor-gate round {r} scan vec/dc = {ratios[-1]:.2f}x")
+gate("scan vec/dc", ratios, 1.3)
 
 # Gate 2: the best blend is never worse than the better pure flavor
 # (5% tolerance: at these sizes that is measurement noise, not a regression).
 for shape, label in ((0, "scan"), (1, "join")):
-    pure = max(warm[(shape, 0)], warm[(shape, 1)])
-    blend = max(warm[(shape, 2)], warm[(shape, 3)])
-    ratio = blend / pure
-    status = "ok" if ratio >= 0.95 else "FAIL"
-    failed |= ratio < 0.95
-    print(f"flavor-gate {label} blend/pure = {ratio:.2f}x "
-          f"(need >= 0.95) [{status}]")
+    ratios = []
+    for r, w in enumerate(warm):
+        pure = max(w[(shape, 0)], w[(shape, 1)])
+        blend = max(w[(shape, 2)], w[(shape, 3)])
+        ratios.append(blend / pure)
+        print(f"flavor-gate round {r} {label} blend/pure = {ratios[-1]:.2f}x")
+    gate(f"{label} blend/pure", ratios, 0.95)
 
 # Gate 3: the explorer recorded a winner and its pick is within noise of
 # the best pure flavor, measured through the same raw Run() path (15%
 # tolerance: the sweep and the check are separate timing passes).
 for shape, label in ((0, "scan"), (1, "join")):
-    b = explore[shape]
-    ok = b.get("have_winner") == 1 and \
-        b["picked_ms"] <= b["best_pure_ms"] * 1.15
-    status = "ok" if ok else "FAIL"
-    failed |= not ok
-    print(f"flavor-gate {label} explorer pick flavor={b['picked_flavor']:.0f}"
-          f" blend={b['picked_blend']:.0f}: picked={b['picked_ms']:.3f} ms"
-          f" best-pure={b['best_pure_ms']:.3f} ms [{status}]")
+    ratios = []
+    for r, e in enumerate(explore):
+        b = e[shape]
+        have = b.get("have_winner") == 1
+        failed |= not have
+        ratio = b["picked_ms"] / b["best_pure_ms"] if have else float("inf")
+        ratios.append(ratio)
+        print(f"flavor-gate round {r} {label} explorer pick "
+              f"flavor={b['picked_flavor']:.0f} blend={b['picked_blend']:.0f}"
+              f": picked={b.get('picked_ms', -1):.3f} ms "
+              f"best-pure={b.get('best_pure_ms', -1):.3f} ms "
+              f"ratio={ratio:.2f}{'' if have else ' (no winner) [FAIL]'}")
+    gate(f"{label} explorer picked/best-pure", ratios, 1.15, higher=False)
 
 if failed:
     raise SystemExit("codegen-flavor perf gate failed")
 print("flavor gate passed (vec >= 1.3x dc, blend >= pure, explorer picks "
-      "the measured winner)")
+      "the measured winner; medians over rounds)")
 EOF
-  echo "wrote BENCH_flavors.json (per-flavor warm throughput + explorer pick)"
+  echo "wrote BENCH_flavors_*.json (per-round warm throughput + explorer pick)"
 }
 
 # Observability must stay off the warm hot path: run the same-entry warm
@@ -605,6 +668,7 @@ EOF
 case "$stage" in
   tier1) tier1 ;;
   tsan) tsan ;;
+  asan) asan ;;
   faults) faults ;;
   params) params ;;
   net) net ;;
@@ -614,11 +678,11 @@ case "$stage" in
   soak) soak ;;
   bench) bench ;;
   all)
-    tier1 && tsan && faults && params && net && tracing && flavors \
-      && morsel && soak && bench
+    tier1 && tsan && asan && faults && params && net && tracing \
+      && flavors && morsel && soak && bench
     ;;
   *)
-    echo "usage: scripts/ci.sh [tier1|tsan|faults|params|net|tracing|flavors|morsel|soak|bench|all]" >&2
+    echo "usage: scripts/ci.sh [tier1|tsan|asan|faults|params|net|tracing|flavors|morsel|soak|bench|all]" >&2
     exit 2
     ;;
 esac

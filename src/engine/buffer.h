@@ -146,12 +146,11 @@ class ColumnarBuffer {
     }
   }
 
-  Record<B> Read(B& b, typename B::I64 idx) const {
-    Record<B> rec;
+  /// Reads record `idx` into `out`, a record of this buffer's schema.
+  void Read(B& b, typename B::I64 idx, Record<B>* out) const {
     for (int i = 0; i < schema_.size(); ++i) {
-      rec.Add(schema_.field(i), ReadField(b, idx, i));
+      out->set(i, ReadField(b, idx, i));
     }
-    return rec;
   }
 
   Value<B> ReadField(B& b, typename B::I64 idx, int i) const {

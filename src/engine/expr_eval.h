@@ -6,6 +6,12 @@
 // §4.3) also happen here — equality against a constant on a dictionary
 // column folds to one integer compare, prefix tests to a code-range check,
 // with constants resolved against the dictionary while the query compiles.
+//
+// Expressions are evaluated in bound form: BindExpr resolves every column
+// reference to a slot of the input schema once, when the operator that
+// owns the expression is built, and a reference then reads
+// `rec.value(slot)`. plan::Expr trees are shared by concurrent requests,
+// so the slots live in the operator tree, never on the Expr.
 #ifndef LB2_ENGINE_EXPR_EVAL_H_
 #define LB2_ENGINE_EXPR_EVAL_H_
 
@@ -24,8 +30,32 @@ struct ScalarEnv {
   typename B::template Arr<double> arr{};
 };
 
+/// A plan expression with its column references resolved to input slots.
+struct BoundExpr {
+  const plan::Expr* e = nullptr;
+  int slot = -1;                // kColRef: the field's slot in the input
+  std::vector<BoundExpr> args;  // parallel to e->children
+};
+
+/// Binds `e` against the schema of the records it will be evaluated on.
+inline BoundExpr BindExpr(const plan::ExprRef& e,
+                          const schema::Schema& input) {
+  BoundExpr out;
+  out.e = e.get();
+  if (e->op == plan::ExprOp::kColRef) out.slot = SlotOf(input, e->str);
+  for (const auto& c : e->children) out.args.push_back(BindExpr(c, input));
+  return out;
+}
+
+inline std::vector<BoundExpr> BindExprs(const std::vector<plan::ExprRef>& es,
+                                        const schema::Schema& input) {
+  std::vector<BoundExpr> out;
+  for (const auto& e : es) out.push_back(BindExpr(e, input));
+  return out;
+}
+
 template <typename B>
-Value<B> EvalExpr(B& b, const plan::ExprRef& e, const Record<B>& rec,
+Value<B> EvalExpr(B& b, const BoundExpr& bx, const Record<B>& rec,
                   const ScalarEnv<B>& scalars);
 
 namespace internal {
@@ -33,10 +63,11 @@ namespace internal {
 using plan::ExprOp;
 
 template <typename B>
-Value<B> EvalArith(B& b, const plan::ExprRef& e, const Record<B>& rec,
+Value<B> EvalArith(B& b, const BoundExpr& bx, const Record<B>& rec,
                    const ScalarEnv<B>& scalars) {
-  Value<B> x = EvalExpr(b, e->children[0], rec, scalars);
-  Value<B> y = EvalExpr(b, e->children[1], rec, scalars);
+  const plan::Expr* e = bx.e;
+  Value<B> x = EvalExpr(b, bx.args[0], rec, scalars);
+  Value<B> y = EvalExpr(b, bx.args[1], rec, scalars);
   if (e->op == ExprOp::kDiv) {
     return Value<B>::F64(AsF64(b, x) / AsF64(b, y));
   }
@@ -60,13 +91,13 @@ Value<B> EvalArith(B& b, const plan::ExprRef& e, const Record<B>& rec,
 /// an integer compare against a code resolved at generation time. A
 /// constant absent from the dictionary makes equality statically false.
 template <typename B>
-Value<B> EvalCompare(B& b, const plan::ExprRef& e, const Record<B>& rec,
+Value<B> EvalCompare(B& b, const BoundExpr& bx, const Record<B>& rec,
                      const ScalarEnv<B>& scalars) {
-  const plan::ExprRef& lhs = e->children[0];
+  const plan::Expr* e = bx.e;
   const plan::ExprRef& rhs = e->children[1];
   if ((e->op == ExprOp::kEq || e->op == ExprOp::kNe) &&
       rhs->op == ExprOp::kStrConst) {
-    Value<B> x = EvalExpr(b, lhs, rec, scalars);
+    Value<B> x = EvalExpr(b, bx.args[0], rec, scalars);
     // The fast path is a *generation-time* specialization on the literal's
     // value, so a parameterized constant (value bound at Run) must take the
     // generic compare. The canonicalizer never parameterizes these leaves
@@ -86,8 +117,8 @@ Value<B> EvalCompare(B& b, const plan::ExprRef& e, const Record<B>& rec,
     typename B::Bool eq = b.StrEqV(AsRawStr(b, x), lit);
     return Value<B>::Bool(e->op == ExprOp::kEq ? eq : !eq);
   }
-  Value<B> x = EvalExpr(b, lhs, rec, scalars);
-  Value<B> y = EvalExpr(b, rhs, rec, scalars);
+  Value<B> x = EvalExpr(b, bx.args[0], rec, scalars);
+  Value<B> y = EvalExpr(b, bx.args[1], rec, scalars);
   if (e->op == ExprOp::kEq) return Value<B>::Bool(ValEq(b, x, y));
   if (e->op == ExprOp::kNe) return Value<B>::Bool(!ValEq(b, x, y));
   // Ordered comparisons: numeric fast path avoids the 3-way helper.
@@ -120,9 +151,10 @@ Value<B> EvalCompare(B& b, const plan::ExprRef& e, const Record<B>& rec,
 
 /// String predicates with dictionary specializations.
 template <typename B>
-Value<B> EvalStrPred(B& b, const plan::ExprRef& e, const Record<B>& rec,
+Value<B> EvalStrPred(B& b, const BoundExpr& bx, const Record<B>& rec,
                      const ScalarEnv<B>& scalars) {
-  Value<B> x = EvalExpr(b, e->children[0], rec, scalars);
+  const plan::Expr* e = bx.e;
+  Value<B> x = EvalExpr(b, bx.args[0], rec, scalars);
   LB2_CHECK(x.is_str());
   const SVal<B>& sv = x.str();
   if (sv.is_dict && e->op == ExprOp::kStartsWith) {
@@ -150,9 +182,10 @@ Value<B> EvalStrPred(B& b, const plan::ExprRef& e, const Record<B>& rec,
 }
 
 template <typename B>
-Value<B> EvalInStr(B& b, const plan::ExprRef& e, const Record<B>& rec,
+Value<B> EvalInStr(B& b, const BoundExpr& bx, const Record<B>& rec,
                    const ScalarEnv<B>& scalars) {
-  Value<B> x = EvalExpr(b, e->children[0], rec, scalars);
+  const plan::Expr* e = bx.e;
+  Value<B> x = EvalExpr(b, bx.args[0], rec, scalars);
   LB2_CHECK(x.is_str());
   const SVal<B>& sv = x.str();
   // The code-compare path specializes on the literal values at generation
@@ -189,12 +222,13 @@ Value<B> EvalInStr(B& b, const plan::ExprRef& e, const Record<B>& rec,
 }  // namespace internal
 
 template <typename B>
-Value<B> EvalExpr(B& b, const plan::ExprRef& e, const Record<B>& rec,
+Value<B> EvalExpr(B& b, const BoundExpr& bx, const Record<B>& rec,
                   const ScalarEnv<B>& scalars) {
   using plan::ExprOp;
+  const plan::Expr* e = bx.e;
   switch (e->op) {
     case ExprOp::kColRef:
-      return rec.Get(e->str);
+      return rec.value(bx.slot);
     // Constant leaves: a canonicalized plan (Expr::param_slot >= 0) reads
     // the value from the backend's parameter slot — a ctx load in generated
     // code, a bound-vector load in the interpreter — with the original
@@ -228,37 +262,37 @@ Value<B> EvalExpr(B& b, const plan::ExprRef& e, const Record<B>& rec,
     case ExprOp::kSub:
     case ExprOp::kMul:
     case ExprOp::kDiv:
-      return internal::EvalArith(b, e, rec, scalars);
+      return internal::EvalArith(b, bx, rec, scalars);
     case ExprOp::kEq:
     case ExprOp::kNe:
     case ExprOp::kLt:
     case ExprOp::kLe:
     case ExprOp::kGt:
     case ExprOp::kGe:
-      return internal::EvalCompare(b, e, rec, scalars);
+      return internal::EvalCompare(b, bx, rec, scalars);
     case ExprOp::kAnd:
       return Value<B>::Bool(
-          AsBool(b, EvalExpr(b, e->children[0], rec, scalars)) &&
-          AsBool(b, EvalExpr(b, e->children[1], rec, scalars)));
+          AsBool(b, EvalExpr(b, bx.args[0], rec, scalars)) &&
+          AsBool(b, EvalExpr(b, bx.args[1], rec, scalars)));
     case ExprOp::kOr:
       return Value<B>::Bool(
-          AsBool(b, EvalExpr(b, e->children[0], rec, scalars)) ||
-          AsBool(b, EvalExpr(b, e->children[1], rec, scalars)));
+          AsBool(b, EvalExpr(b, bx.args[0], rec, scalars)) ||
+          AsBool(b, EvalExpr(b, bx.args[1], rec, scalars)));
     case ExprOp::kNot:
       return Value<B>::Bool(
-          !AsBool(b, EvalExpr(b, e->children[0], rec, scalars)));
+          !AsBool(b, EvalExpr(b, bx.args[0], rec, scalars)));
     case ExprOp::kLike:
     case ExprOp::kStartsWith:
     case ExprOp::kEndsWith:
     case ExprOp::kContains:
-      return internal::EvalStrPred(b, e, rec, scalars);
+      return internal::EvalStrPred(b, bx, rec, scalars);
     case ExprOp::kNotLike:
       LB2_CHECK_MSG(false, "NotLike is lowered to Not(Like) at build time");
       return Value<B>::Bool(typename B::Bool(false));
     case ExprOp::kInStr:
-      return internal::EvalInStr(b, e, rec, scalars);
+      return internal::EvalInStr(b, bx, rec, scalars);
     case ExprOp::kInInt: {
-      Value<B> x = EvalExpr(b, e->children[0], rec, scalars);
+      Value<B> x = EvalExpr(b, bx.args[0], rec, scalars);
       typename B::I64 xi = AsI64(b, x);
       typename B::Bool any(false);
       for (size_t j = 0; j < e->int_list.size(); ++j) {
@@ -274,20 +308,20 @@ Value<B> EvalExpr(B& b, const plan::ExprRef& e, const Record<B>& rec,
       return Value<B>::Bool(any);
     }
     case ExprOp::kCase: {
-      auto c = AsBool(b, EvalExpr(b, e->children[0], rec, scalars));
-      Value<B> t = EvalExpr(b, e->children[1], rec, scalars);
-      Value<B> f = EvalExpr(b, e->children[2], rec, scalars);
+      auto c = AsBool(b, EvalExpr(b, bx.args[0], rec, scalars));
+      Value<B> t = EvalExpr(b, bx.args[1], rec, scalars);
+      Value<B> f = EvalExpr(b, bx.args[2], rec, scalars);
       if (t.is_i64() && f.is_i64()) {
         return Value<B>::I64(b.SelI64(c, t.i64(), f.i64()));
       }
       return Value<B>::F64(b.SelF64(c, AsF64(b, t), AsF64(b, f)));
     }
     case ExprOp::kYear: {
-      auto d = AsI64(b, EvalExpr(b, e->children[0], rec, scalars));
+      auto d = AsI64(b, EvalExpr(b, bx.args[0], rec, scalars));
       return Value<B>::I64(d / typename B::I64(10000));
     }
     case ExprOp::kSubstring: {
-      Value<B> x = EvalExpr(b, e->children[0], rec, scalars);
+      Value<B> x = EvalExpr(b, bx.args[0], rec, scalars);
       return Value<B>::Str(b.SubstrConst(AsRawStr(b, x), e->i64, e->i64b));
     }
     case ExprOp::kScalarRef:

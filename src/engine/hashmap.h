@@ -11,7 +11,7 @@
 #ifndef LB2_ENGINE_HASHMAP_H_
 #define LB2_ENGINE_HASHMAP_H_
 
-#include <functional>
+#include <algorithm>
 
 #include "engine/buffer.h"
 
@@ -46,12 +46,17 @@ class LB2HashMap {
     flags_ = b.template AllocZeroArr<char>(total);
     used_ = b.template AllocArr<int64_t>(total);
     counts_ = b.template AllocZeroArr<int64_t>(I64(lanes));
+    cur_ = Record<B>(&vals_.schema());
+    lane_key_ = Record<B>(&keys_.schema());
+    lane_val_ = Record<B>(&vals_.schema());
   }
 
   /// Group-update: locates `key` in `lane` (inserting with `up(init)` on
-  /// first sight, updating with `up(current)` otherwise).
+  /// first sight, updating with `up(current)` otherwise). `up` returns the
+  /// new value record.
+  template <typename Up>
   void Update(B& b, I64 lane, const Record<B>& key, const Record<B>& init,
-              const std::function<Record<B>(const Record<B>&)>& up) {
+              Up up) {
     I64 base = lane * I64(size_);
     auto idx = b.NewCell(HashKey(b, key) & I64(size_ - 1));
     b.Loop([&] {
@@ -71,23 +76,23 @@ class LB2HashMap {
             b.IfElse(
                 KeyEquals(b, i, key),
                 [&] {
-                  vals_.Write(b, i, up(vals_.Read(b, i)));
+                  vals_.Read(b, i, &cur_);
+                  vals_.Write(b, i, up(cur_));
                   b.Break();
                 },
                 [&] { b.Set(idx, (b.Get(idx) + I64(1)) & I64(size_ - 1)); });
           });
     });
   }
-  void Update(B& b, const Record<B>& key, const Record<B>& init,
-              const std::function<Record<B>(const Record<B>&)>& up) {
+  template <typename Up>
+  void Update(B& b, const Record<B>& key, const Record<B>& init, Up up) {
     Update(b, I64(0), key, init, up);
   }
 
   /// Probes for `key`: calls `found` with the value record, or `miss` when
   /// absent.
-  void Find(B& b, const Record<B>& key,
-            const std::function<void(const Record<B>&)>& found,
-            const std::function<void()>& miss) {
+  template <typename Found, typename Miss>
+  void Find(B& b, const Record<B>& key, Found found, Miss miss) {
     auto idx = b.NewCell(HashKey(b, key) & I64(size_ - 1));
     b.Loop([&] {
       I64 i = b.Get(idx);
@@ -101,7 +106,8 @@ class LB2HashMap {
             b.IfElse(
                 KeyEquals(b, i, key),
                 [&] {
-                  found(vals_.Read(b, i));
+                  vals_.Read(b, i, &cur_);
+                  found(cur_);
                   b.Break();
                 },
                 [&] { b.Set(idx, (i + I64(1)) & I64(size_ - 1)); });
@@ -109,40 +115,32 @@ class LB2HashMap {
     });
   }
 
-  /// Iterates one lane's groups: fn(key record, value record).
-  void ForeachLane(
-      B& b, I64 lane,
-      const std::function<void(const Record<B>&, const Record<B>&)>& fn) {
+  /// Iterates one lane's groups in insertion order: fn(key record, value
+  /// record).
+  template <typename F>
+  void ForeachLane(B& b, I64 lane, F fn) {
     I64 base = lane * I64(size_);
     b.For(I64(0), b.ArrGet(counts_, lane), [&](I64 j) {
       I64 i = b.ArrGet(used_, base + j);
-      fn(keys_.Read(b, i), vals_.Read(b, i));
+      // Values before keys: the load order generated code has always had.
+      vals_.Read(b, i, &lane_val_);
+      keys_.Read(b, i, &lane_key_);
+      fn(lane_key_, lane_val_);
     });
   }
 
   /// Folds every lane >= 1 into lane 0 with `merge_vals` (current, other).
-  void MergeLanes(
-      B& b,
-      const std::function<Record<B>(const Record<B>&, const Record<B>&)>&
-          merge_vals,
-      const Record<B>& init) {
+  template <typename Merge>
+  void MergeLanes(B& b, Merge merge_vals, const Record<B>& init) {
     for (int t = 1; t < lanes_; ++t) {
       ForeachLane(b, I64(t),
                   [&](const Record<B>& key, const Record<B>& other) {
                     Update(b, I64(0), key, init,
-                           [&](const Record<B>& cur) {
+                           [&](const Record<B>& cur) -> decltype(auto) {
                              return merge_vals(cur, other);
                            });
                   });
     }
-  }
-
-  /// Iterates lane 0's groups in insertion order: cb(key ++ value).
-  void Foreach(B& b, const std::function<void(const Record<B>&)>& cb) {
-    ForeachLane(b, I64(0),
-                [&](const Record<B>& k, const Record<B>& v) {
-                  cb(Record<B>::Concat(k, v));
-                });
   }
 
   typename B::I64 Count(B& b) { return b.ArrGet(counts_, I64(0)); }
@@ -178,6 +176,12 @@ class LB2HashMap {
   int lanes_ = 1;
   ColumnarBuffer<B> keys_;
   ColumnarBuffer<B> vals_;
+  // Records the map reads into: the value Update and Find see, and the
+  // group ForeachLane hands out (distinct, since MergeLanes updates lane 0
+  // while it walks another lane).
+  Record<B> cur_;
+  Record<B> lane_key_;
+  Record<B> lane_val_;
   typename B::template Arr<char> flags_;
   typename B::template Arr<int64_t> used_;
   typename B::template Arr<int64_t> counts_;  // one per lane

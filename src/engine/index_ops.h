@@ -39,16 +39,17 @@ inline BaseChain ExtractBaseChain(const plan::PlanRef& p) {
 }
 
 /// Shared machinery: fetch base row `row`, run the chain's filters and
-/// projection, and hand the shaped record to `sink`.
+/// projection, and hand the shaped record to `sink`. The chain's
+/// expressions are bound against the base table's schema when the join is
+/// built.
 template <typename B>
 class BaseChainAccess {
  public:
   void Init(QueryCtx<B>* ctx, const plan::PlanRef& side,
-            const schema::Schema& out_schema, const DictVec& out_dicts) {
+            const schema::Schema& out_schema) {
     ctx_ = ctx;
     chain_ = ExtractBaseChain(side);
     out_schema_ = out_schema;
-    out_dicts_ = out_dicts;
     const rt::Table& t = ctx->db->table(chain_.table);
     base_schema_ = t.schema();
     for (int i = 0; i < base_schema_.size(); ++i) {
@@ -56,48 +57,54 @@ class BaseChainAccess {
       base_dicts_.push_back(
           ctx->copts.use_dict && c.has_dict() ? c.dict() : nullptr);
     }
+    preds_ = BindExprs(chain_.preds, base_schema_);
+    if (chain_.project != nullptr) {
+      project_ = BindExprs(chain_.project->exprs, base_schema_);
+    }
+    out_ = Record<B>(&out_schema_);
   }
 
-  void Bind(B& b) { reader_.Bind(b, chain_.table, base_schema_, base_dicts_); }
+  void Bind(B& b) {
+    reader_.Bind(b, chain_.table, &base_schema_, base_dicts_);
+  }
 
   const std::string& table() const { return chain_.table; }
   const schema::Schema& base_schema() const { return base_schema_; }
 
   /// Fetches row `row`, applies filters, projects, calls sink at most once.
-  void Fetch(B& b, typename B::I64 row,
-             const std::function<void(const Record<B>&)>& sink) const {
-    Record<B> rec = reader_.RecordAt(b, row);
-    ApplyPreds(b, rec, 0, sink);
+  template <typename F>
+  void Fetch(B& b, typename B::I64 row, F& sink) {
+    ApplyPreds(b, reader_.RecordAt(b, row), 0, sink);
   }
 
  private:
-  void ApplyPreds(B& b, const Record<B>& rec, size_t i,
-                  const std::function<void(const Record<B>&)>& sink) const {
-    if (i == chain_.preds.size()) {
+  template <typename F>
+  void ApplyPreds(B& b, const Record<B>& rec, size_t i, F& sink) {
+    if (i == preds_.size()) {
       if (chain_.project != nullptr) {
-        Record<B> out;
-        for (size_t e = 0; e < chain_.project->exprs.size(); ++e) {
-          out.Add(out_schema_.field(static_cast<int>(e)),
-                  EvalExpr(b, chain_.project->exprs[e], rec,
-                           ctx_->scalars));
+        for (size_t e = 0; e < project_.size(); ++e) {
+          out_.set(static_cast<int>(e),
+                   EvalExpr(b, project_[e], rec, ctx_->scalars));
         }
-        sink(out);
+        sink(out_);
       } else {
         sink(rec);
       }
       return;
     }
     typename B::Bool pass =
-        AsBool(b, EvalExpr(b, chain_.preds[i], rec, ctx_->scalars));
+        AsBool(b, EvalExpr(b, preds_[i], rec, ctx_->scalars));
     b.If(pass, [&] { ApplyPreds(b, rec, i + 1, sink); });
   }
 
   QueryCtx<B>* ctx_ = nullptr;
   BaseChain chain_;
   schema::Schema out_schema_;
-  DictVec out_dicts_;
   schema::Schema base_schema_;
   DictVec base_dicts_;
+  std::vector<BoundExpr> preds_;    // applied innermost-first
+  std::vector<BoundExpr> project_;  // empty without a projection
+  Record<B> out_;
   TableReader<B> reader_;
 };
 
@@ -110,16 +117,19 @@ class IndexJoinOp final : public Op<B> {
               DictVec left_dicts, OpPtr<B> right)
       : Op<B>(ctx, left_schema.Concat(right->schema()), DictVec{}),
         node_(&n),
-        right_(std::move(right)) {
+        right_(std::move(right)),
+        right_key_(SlotOf(right_->schema(), n.right_keys[0])),
+        merged_(&this->schema_) {
     this->dicts_ = left_dicts;
     this->dicts_.insert(this->dicts_.end(), right_->dicts().begin(),
                         right_->dicts().end());
     LB2_CHECK_MSG(n.left_keys.size() == 1,
                   "index joins support single-column keys");
-    access_.Init(ctx, left_plan, left_schema, left_dicts);
+    access_.Init(ctx, left_plan, left_schema);
     LB2_CHECK_MSG(
         access_.base_schema().Has(n.left_keys[0]),
         "index join key must be an unrenamed base-table column");
+    if (n.predicate != nullptr) pred_ = BindExpr(n.predicate, this->schema_);
   }
 
   typename Op<B>::DataLoop Prepare() override {
@@ -134,15 +144,16 @@ class IndexJoinOp final : public Op<B> {
     auto rdl = right_->Prepare();
     return [this, rdl, pk](const typename Op<B>::Callback& cb) {
       B& b = *this->ctx_->b;
+      const int nl = this->schema_.size() - right_->schema().size();
       rdl([&](const Record<B>& rrec) {
-        typename B::I64 key = AsI64(b, rrec.Get(node_->right_keys[0]));
+        typename B::I64 key = AsI64(b, rrec.value(right_key_));
+        merged_.SetFrom(nl, rrec);
         auto emit = [&](const Record<B>& lrec) {
-          Record<B> merged = Record<B>::Concat(lrec, rrec);
+          merged_.SetFrom(0, lrec);
           if (node_->predicate != nullptr) {
-            b.If(this->EvalBool(node_->predicate, merged),
-                 [&] { cb(merged); });
+            b.If(this->EvalBool(pred_, merged_), [&] { cb(merged_); });
           } else {
-            cb(merged);
+            cb(merged_);
           }
         };
         if (pk) {
@@ -162,6 +173,9 @@ class IndexJoinOp final : public Op<B> {
  private:
   const plan::PlanNode* node_;
   OpPtr<B> right_;
+  int right_key_;
+  BoundExpr pred_;  // over left ++ right
+  Record<B> merged_;
   BaseChainAccess<B> access_;
   typename B::PkAcc pk_{};
   typename B::FkAcc fk_{};
@@ -173,17 +187,25 @@ class IndexSemiAntiJoinOp final : public Op<B> {
  public:
   IndexSemiAntiJoinOp(QueryCtx<B>* ctx, const plan::PlanNode& n,
                       OpPtr<B> left, const plan::PlanRef& right_plan,
-                      schema::Schema right_schema, DictVec right_dicts)
+                      const schema::Schema& right_schema)
       : Op<B>(ctx, left->schema(), left->dicts()),
         node_(&n),
         anti_(n.type == plan::OpType::kAntiJoin),
-        left_(std::move(left)) {
+        left_(std::move(left)),
+        left_key_(SlotOf(left_->schema(), n.left_keys[0])) {
     LB2_CHECK_MSG(n.right_keys.size() == 1,
                   "index joins support single-column keys");
-    access_.Init(ctx, right_plan, right_schema, right_dicts);
+    access_.Init(ctx, right_plan, right_schema);
     LB2_CHECK_MSG(
         access_.base_schema().Has(n.right_keys[0]),
         "index join key must be an unrenamed base-table column");
+    if (n.predicate != nullptr) {
+      // The residual predicate sees left ++ right; without one the two
+      // sides may share field names.
+      joint_ = left_->schema().Concat(right_schema);
+      pred_ = BindExpr(n.predicate, joint_);
+      merged_ = Record<B>(&joint_);
+    }
   }
 
   typename Op<B>::DataLoop Prepare() override {
@@ -198,13 +220,15 @@ class IndexSemiAntiJoinOp final : public Op<B> {
     auto ldl = left_->Prepare();
     return [this, ldl, pk](const typename Op<B>::Callback& cb) {
       B& b = *this->ctx_->b;
+      const int nl = this->schema_.size();
       ldl([&](const Record<B>& lrec) {
-        typename B::I64 key = AsI64(b, lrec.Get(node_->left_keys[0]));
+        typename B::I64 key = AsI64(b, lrec.value(left_key_));
         auto found = b.NewCell(typename B::Bool(false));
+        if (node_->predicate != nullptr) merged_.SetFrom(0, lrec);
         auto test = [&](const Record<B>& rrec) {
           if (node_->predicate != nullptr) {
-            Record<B> merged = Record<B>::Concat(lrec, rrec);
-            b.If(this->EvalBool(node_->predicate, merged),
+            merged_.SetFrom(nl, rrec);
+            b.If(this->EvalBool(pred_, merged_),
                  [&] { b.Set(found, typename B::Bool(true)); });
           } else {
             b.Set(found, typename B::Bool(true));
@@ -230,6 +254,10 @@ class IndexSemiAntiJoinOp final : public Op<B> {
   const plan::PlanNode* node_;
   bool anti_;
   OpPtr<B> left_;
+  int left_key_;
+  schema::Schema joint_;  // left ++ right, only with a predicate
+  BoundExpr pred_;
+  Record<B> merged_;
   BaseChainAccess<B> access_;
   typename B::PkAcc pk_{};
   typename B::FkAcc fk_{};

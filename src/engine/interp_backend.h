@@ -33,8 +33,17 @@ class InterpBackend {
   };
   template <typename T>
   using Arr = std::shared_ptr<std::vector<T>>;
+  /// A mutable cell holds its value inline: a probe cursor or a per-row
+  /// flag lives where the operator declares it, with no heap allocation.
+  /// Move-only, so a copy can never silently stop aliasing the original.
   template <typename T>
-  using Cell = std::shared_ptr<T>;
+  struct Cell {
+    Cell() = default;
+    explicit Cell(T init) : v(init) {}
+    Cell(Cell&&) = default;
+    Cell& operator=(Cell&&) = default;
+    T v{};
+  };
 
   explicit InterpBackend(const rt::Database* db) : db_(db) {}
 
@@ -164,15 +173,15 @@ class InterpBackend {
   // -- Cells ---------------------------------------------------------------
   template <typename T>
   Cell<T> NewCell(T init) {
-    return std::make_shared<T>(init);
+    return Cell<T>(init);
   }
   template <typename T>
   T Get(const Cell<T>& c) {
-    return *c;
+    return c.v;
   }
   template <typename T>
-  void Set(const Cell<T>& c, T v) {
-    *c = v;
+  void Set(Cell<T>& c, T v) {
+    c.v = v;
   }
 
   // -- Arrays --------------------------------------------------------------

@@ -5,8 +5,7 @@
 #ifndef LB2_ENGINE_MULTIMAP_H_
 #define LB2_ENGINE_MULTIMAP_H_
 
-#include <functional>
-#include <string>
+#include <algorithm>
 #include <vector>
 
 #include "engine/buffer.h"
@@ -19,18 +18,15 @@ class LB2HashMultiMap {
  public:
   using I64 = typename B::I64;
 
-  /// `key_cols` name the build-side key fields within `schema`.
+  /// `key_slots` are the build-side key fields' slots within `schema`.
   void Init(B& b, const schema::Schema& schema, const DictVec& dicts,
-            const std::vector<std::string>& key_cols, int64_t capacity_bound,
+            const std::vector<int>& key_slots, int64_t capacity_bound,
             BufferLayout layout = BufferLayout::kRow) {
     capacity_ = std::max<int64_t>(capacity_bound, 4);
     buckets_ = NextPow2(capacity_);
-    schema_ = schema;
-    for (const auto& k : key_cols) {
-      key_idx_.push_back(schema.IndexOf(k));
-      LB2_CHECK_MSG(key_idx_.back() >= 0, ("bad join key " + k).c_str());
-    }
+    key_idx_ = key_slots;
     buf_.Init(b, schema, dicts, I64(capacity_), layout);
+    match_ = Record<B>(&buf_.schema());
     next_ = b.template AllocArr<int64_t>(I64(capacity_));
     head_ = b.template AllocArr<int64_t>(I64(buckets_));
     b.For(I64(0), I64(buckets_),
@@ -50,21 +46,22 @@ class LB2HashMultiMap {
 
   /// Invokes cb on every stored record whose keys equal `probe_key` (a
   /// record with the key values in key-column order).
-  void Lookup(B& b, const Record<B>& probe_key,
-              const std::function<void(const Record<B>&)>& cb) {
+  template <typename F>
+  void Lookup(B& b, const Record<B>& probe_key, F cb) {
     I64 h = HashKey(b, probe_key) & I64(buckets_ - 1);
     auto cur = b.NewCell(b.ArrGet(head_, h));
     b.While([&] { return b.Get(cur) != I64(-1); },
             [&] {
               I64 i = b.Get(cur);
-              b.If(KeyEquals(b, i, probe_key),
-                   [&] { cb(buf_.Read(b, i)); });
+              b.If(KeyEquals(b, i, probe_key), [&] {
+                buf_.Read(b, i, &match_);
+                cb(match_);
+              });
               b.Set(cur, b.ArrGet(next_, i));
             });
   }
 
   typename B::I64 Count(B& b) { return b.Get(count_); }
-  const schema::Schema& schema() const { return schema_; }
 
  private:
   I64 HashFields(B& b, const Record<B>& rec) {
@@ -95,9 +92,9 @@ class LB2HashMultiMap {
 
   int64_t capacity_ = 0;
   int64_t buckets_ = 0;
-  schema::Schema schema_;
   std::vector<int> key_idx_;
   ColumnarBuffer<B> buf_;
+  Record<B> match_;  // the stored record Lookup hands out
   typename B::template Arr<int64_t> next_;
   typename B::template Arr<int64_t> head_;
   typename B::template Cell<int64_t> count_;

@@ -16,8 +16,11 @@
 #ifndef LB2_ENGINE_OPS_H_
 #define LB2_ENGINE_OPS_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "engine/expr_eval.h"
 #include "engine/hashmap.h"
@@ -103,11 +106,10 @@ class Op {
   const DictVec& dicts() const { return dicts_; }
 
  protected:
-  Value<B> Eval(const plan::ExprRef& e, const Record<B>& rec) const {
+  Value<B> Eval(const BoundExpr& e, const Record<B>& rec) const {
     return EvalExpr(*ctx_->b, e, rec, ctx_->scalars);
   }
-  typename B::Bool EvalBool(const plan::ExprRef& e,
-                            const Record<B>& rec) const {
+  typename B::Bool EvalBool(const BoundExpr& e, const Record<B>& rec) const {
     return AsBool(*ctx_->b, Eval(e, rec));
   }
 
@@ -124,56 +126,59 @@ using OpPtr = std::unique_ptr<Op<B>>;
 // ---------------------------------------------------------------------------
 
 /// Binds column accessors for a base table and materializes generation-time
-/// records for arbitrary row positions. Shared by ScanOp and the index-join
-/// operators (which fetch base rows through an index).
+/// records for arbitrary row positions into one record it owns. Shared by
+/// ScanOp, the vectorized scan and the index-join operators (which fetch
+/// base rows through an index).
 template <typename B>
 class TableReader {
  public:
-  void Bind(B& b, const std::string& table, const schema::Schema& schema,
+  /// `schema` (the table's, in column order) must outlive the reader.
+  void Bind(B& b, const std::string& table, const schema::Schema* schema,
             const DictVec& dicts) {
     schema_ = schema;
     dicts_ = dicts;
     accs_.clear();
-    for (int i = 0; i < schema.size(); ++i) {
+    for (int i = 0; i < schema->size(); ++i) {
       ColumnOptions copts;
       copts.use_dict = dicts[static_cast<size_t>(i)] != nullptr;
-      accs_.push_back(b.Column(table, schema.field(i).name, copts));
+      accs_.push_back(b.Column(table, schema->field(i).name, copts));
     }
+    rec_ = Record<B>(schema);
   }
 
-  Record<B> RecordAt(B& b, typename B::I64 i) const {
-    Record<B> rec;
-    for (int f = 0; f < schema_.size(); ++f) {
+  /// Row `i` as a record; valid until the next call.
+  const Record<B>& RecordAt(B& b, typename B::I64 i) {
+    for (int f = 0; f < schema_->size(); ++f) {
       const auto& acc = accs_[static_cast<size_t>(f)];
       const rt::Dictionary* dict = dicts_[static_cast<size_t>(f)];
       using K = schema::FieldKind;
-      switch (schema_.field(f).kind) {
+      switch (schema_->field(f).kind) {
         case K::kInt64:
-          rec.Add(schema_.field(f), Value<B>::I64(b.ColI64(acc, i)));
+          rec_.set(f, Value<B>::I64(b.ColI64(acc, i)));
           break;
         case K::kDouble:
-          rec.Add(schema_.field(f), Value<B>::F64(b.ColF64(acc, i)));
+          rec_.set(f, Value<B>::F64(b.ColF64(acc, i)));
           break;
         case K::kDate:
-          rec.Add(schema_.field(f), Value<B>::I64(b.ColDate(acc, i)));
+          rec_.set(f, Value<B>::I64(b.ColDate(acc, i)));
           break;
         case K::kString:
           if (dict != nullptr) {
-            rec.Add(schema_.field(f),
-                    Value<B>::DictStr(b.ColDictCode(acc, i), dict));
+            rec_.set(f, Value<B>::DictStr(b.ColDictCode(acc, i), dict));
           } else {
-            rec.Add(schema_.field(f), Value<B>::Str(b.ColStr(acc, i)));
+            rec_.set(f, Value<B>::Str(b.ColStr(acc, i)));
           }
           break;
       }
     }
-    return rec;
+    return rec_;
   }
 
  private:
-  schema::Schema schema_;
+  const schema::Schema* schema_ = nullptr;
   DictVec dicts_;
   std::vector<typename B::ColAcc> accs_;
+  Record<B> rec_;
 };
 
 template <typename B>
@@ -188,7 +193,7 @@ class ScanOp final : public Op<B> {
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
     // Bind column accessors now — outside any loop in the residual code.
-    reader_.Bind(b, node_->table, this->schema_, this->dicts_);
+    reader_.Bind(b, node_->table, &this->schema_, this->dicts_);
     bool use_date_index = !node_->date_index_col.empty();
     if (use_date_index) {
       date_acc_ = b.DateIdx(node_->table, node_->date_index_col);
@@ -235,21 +240,20 @@ class SelectOp final : public Op<B> {
  public:
   SelectOp(QueryCtx<B>* ctx, const plan::PlanNode& n, OpPtr<B> child)
       : Op<B>(ctx, child->schema(), child->dicts()),
-        node_(&n),
+        pred_(BindExpr(n.predicate, child->schema())),
         child_(std::move(child)) {}
 
   typename Op<B>::DataLoop Prepare() override {
     auto dl = child_->Prepare();
     return [this, dl](const typename Op<B>::Callback& cb) {
       dl([&](const Record<B>& rec) {
-        this->ctx_->b->If(this->EvalBool(node_->predicate, rec),
-                          [&] { cb(rec); });
+        this->ctx_->b->If(this->EvalBool(pred_, rec), [&] { cb(rec); });
       });
     };
   }
 
  private:
-  const plan::PlanNode* node_;
+  BoundExpr pred_;
   OpPtr<B> child_;
 };
 
@@ -259,26 +263,26 @@ class ProjectOp final : public Op<B> {
   ProjectOp(QueryCtx<B>* ctx, const plan::PlanNode& n, OpPtr<B> child,
             schema::Schema schema, DictVec dicts)
       : Op<B>(ctx, std::move(schema), std::move(dicts)),
-        node_(&n),
-        child_(std::move(child)) {}
+        exprs_(BindExprs(n.exprs, child->schema())),
+        child_(std::move(child)),
+        out_(&this->schema_) {}
 
   typename Op<B>::DataLoop Prepare() override {
     auto dl = child_->Prepare();
     return [this, dl](const typename Op<B>::Callback& cb) {
       dl([&](const Record<B>& rec) {
-        Record<B> out;
-        for (size_t i = 0; i < node_->exprs.size(); ++i) {
-          out.Add(this->schema_.field(static_cast<int>(i)),
-                  this->Eval(node_->exprs[i], rec));
+        for (size_t i = 0; i < exprs_.size(); ++i) {
+          out_.set(static_cast<int>(i), this->Eval(exprs_[i], rec));
         }
-        cb(out);
+        cb(out_);
       });
     };
   }
 
  private:
-  const plan::PlanNode* node_;
+  std::vector<BoundExpr> exprs_;
   OpPtr<B> child_;
+  Record<B> out_;
 };
 
 template <typename B>
@@ -312,52 +316,76 @@ class LimitOp final : public Op<B> {
 // Join helpers
 // ---------------------------------------------------------------------------
 
-/// True if join key `i` needs decoding to raw bytes so hashing agrees on
-/// both sides (different dictionaries — or only one side encoded).
-inline bool JoinKeyNeedsRaw(const schema::Schema& ls, const DictVec& ld,
-                            const schema::Schema& rs, const DictVec& rd,
-                            const std::string& lk, const std::string& rk) {
-  int li = ls.IndexOf(lk), ri = rs.IndexOf(rk);
-  const rt::Dictionary* a = ld[static_cast<size_t>(li)];
-  const rt::Dictionary* bdict = rd[static_cast<size_t>(ri)];
-  return a != bdict;
-}
-
-/// Record with the given fields decoded to raw strings where flagged.
+/// A hash join's keys, resolved when the join is built: the build side's
+/// key slots, the probe side's, and which keys travel as raw bytes because
+/// the two sides do not share their dictionary (different dictionaries, or
+/// only one side encoded), so that hashing agrees on both sides.
 template <typename B>
-Record<B> NormalizeKeys(B& b, const Record<B>& rec,
-                        const std::vector<std::string>& keys,
-                        const std::vector<bool>& need_raw) {
-  Record<B> out;
-  for (int i = 0; i < rec.size(); ++i) {
-    const auto& f = rec.field(i);
-    Value<B> v = rec.value(i);
-    for (size_t k = 0; k < keys.size(); ++k) {
-      if (need_raw[k] && f.name == keys[k] && v.is_str() &&
-          v.str().is_dict) {
-        v = Value<B>::Str(AsRawStr(b, v));
+class JoinKeys {
+ public:
+  JoinKeys(const Op<B>& build, const std::vector<std::string>& build_keys,
+           const Op<B>& probe, const std::vector<std::string>& probe_keys)
+      : build_slots_(SlotsOf(build.schema(), build_keys)),
+        probe_slots_(SlotsOf(probe.schema(), probe_keys)),
+        build_dicts_(build.dicts()) {
+    for (size_t k = 0; k < build_slots_.size(); ++k) {
+      size_t bs = static_cast<size_t>(build_slots_[k]);
+      need_raw_.push_back(build.dicts()[bs] !=
+                          probe.dicts()[static_cast<size_t>(probe_slots_[k])]);
+      if (need_raw_.back()) {
+        build_dicts_[bs] = nullptr;
+        raw_build_slots_.push_back(build_slots_[k]);
+      }
+      key_schema_.Add({"k" + std::to_string(k), schema::FieldKind::kInt64});
+    }
+    std::sort(raw_build_slots_.begin(), raw_build_slots_.end());
+    raw_build_slots_.erase(
+        std::unique(raw_build_slots_.begin(), raw_build_slots_.end()),
+        raw_build_slots_.end());
+    build_rec_ = Record<B>(&build.schema());
+    probe_key_ = Record<B>(&key_schema_);
+  }
+
+  const std::vector<int>& build_slots() const { return build_slots_; }
+  /// Dictionaries of the stored build records: null where a key is raw.
+  const DictVec& build_dicts() const { return build_dicts_; }
+
+  /// The build record to store: `rec` with its raw keys decoded.
+  const Record<B>& Build(B& b, const Record<B>& rec) {
+    if (raw_build_slots_.empty()) return rec;
+    build_rec_.SetFrom(0, rec);
+    for (int s : raw_build_slots_) {
+      const Value<B>& v = rec.value(s);
+      if (v.is_str() && v.str().is_dict) {
+        build_rec_.set(s, Value<B>::Str(AsRawStr(b, v)));
       }
     }
-    out.Add(f, v);
+    return build_rec_;
   }
-  return out;
-}
 
-/// Probe-side key record (values in key order, normalized where needed).
-template <typename B>
-Record<B> ProbeKey(B& b, const Record<B>& rec,
-                   const std::vector<std::string>& keys,
-                   const std::vector<bool>& need_raw) {
-  Record<B> key;
-  for (size_t k = 0; k < keys.size(); ++k) {
-    Value<B> v = rec.Get(keys[k]);
-    if (need_raw[k] && v.is_str() && v.str().is_dict) {
-      v = Value<B>::Str(AsRawStr(b, v));
+  /// The probe key: `rec`'s key values in key order, decoded where raw.
+  const Record<B>& Probe(B& b, const Record<B>& rec) {
+    for (size_t k = 0; k < probe_slots_.size(); ++k) {
+      const Value<B>& v = rec.value(probe_slots_[k]);
+      if (need_raw_[k] && v.is_str() && v.str().is_dict) {
+        probe_key_.set(static_cast<int>(k), Value<B>::Str(AsRawStr(b, v)));
+      } else {
+        probe_key_.set(static_cast<int>(k), v);
+      }
     }
-    key.Add({"k" + std::to_string(k), schema::FieldKind::kInt64}, v);
+    return probe_key_;
   }
-  return key;
-}
+
+ private:
+  std::vector<int> build_slots_;
+  std::vector<int> probe_slots_;
+  DictVec build_dicts_;
+  std::vector<bool> need_raw_;
+  std::vector<int> raw_build_slots_;  // ascending
+  schema::Schema key_schema_;         // k0..kn
+  Record<B> build_rec_;
+  Record<B> probe_key_;
+};
 
 // ---------------------------------------------------------------------------
 // HashJoin (builds on the left child — the paper's Figure 5b)
@@ -372,46 +400,35 @@ class HashJoinOp final : public Op<B> {
         node_(&n),
         left_(std::move(left)),
         right_(std::move(right)),
-        build_bound_(build_bound) {
+        build_bound_(build_bound),
+        keys_(*left_, n.left_keys, *right_, n.right_keys),
+        merged_(&this->schema_) {
     this->dicts_ = left_->dicts();
     this->dicts_.insert(this->dicts_.end(), right_->dicts().begin(),
                         right_->dicts().end());
-    for (size_t k = 0; k < n.left_keys.size(); ++k) {
-      need_raw_.push_back(JoinKeyNeedsRaw(left_->schema(), left_->dicts(),
-                                          right_->schema(), right_->dicts(),
-                                          n.left_keys[k], n.right_keys[k]));
-    }
+    if (n.predicate != nullptr) pred_ = BindExpr(n.predicate, this->schema_);
   }
 
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
-    DictVec build_dicts = left_->dicts();
-    for (size_t k = 0; k < node_->left_keys.size(); ++k) {
-      if (need_raw_[k]) {
-        int i = left_->schema().IndexOf(node_->left_keys[k]);
-        build_dicts[static_cast<size_t>(i)] = nullptr;
-      }
-    }
-    mm_.Init(b, left_->schema(), build_dicts, node_->left_keys,
+    mm_.Init(b, left_->schema(), keys_.build_dicts(), keys_.build_slots(),
              build_bound_, this->ctx_->join_layout);
     auto ldl = left_->Prepare();
     auto rdl = right_->Prepare();
     return [this, ldl, rdl](const typename Op<B>::Callback& cb) {
       B& b = *this->ctx_->b;
-      ldl([&](const Record<B>& rec) {
-        mm_.Insert(b, NormalizeKeys(b, rec, node_->left_keys, need_raw_));
-      });
+      ldl([&](const Record<B>& rec) { mm_.Insert(b, keys_.Build(b, rec)); });
+      const int nl = left_->schema().size();
       rdl([&](const Record<B>& rrec) {
-        mm_.Lookup(b, ProbeKey(b, rrec, node_->right_keys, need_raw_),
-                   [&](const Record<B>& lrec) {
-                     Record<B> merged = Record<B>::Concat(lrec, rrec);
-                     if (node_->predicate != nullptr) {
-                       b.If(this->EvalBool(node_->predicate, merged),
-                            [&] { cb(merged); });
-                     } else {
-                       cb(merged);
-                     }
-                   });
+        merged_.SetFrom(nl, rrec);
+        mm_.Lookup(b, keys_.Probe(b, rrec), [&](const Record<B>& lrec) {
+          merged_.SetFrom(0, lrec);
+          if (node_->predicate != nullptr) {
+            b.If(this->EvalBool(pred_, merged_), [&] { cb(merged_); });
+          } else {
+            cb(merged_);
+          }
+        });
       });
     };
   }
@@ -421,7 +438,9 @@ class HashJoinOp final : public Op<B> {
   OpPtr<B> left_;
   OpPtr<B> right_;
   int64_t build_bound_;
-  std::vector<bool> need_raw_;
+  JoinKeys<B> keys_;
+  BoundExpr pred_;  // over left ++ right
+  Record<B> merged_;
   LB2HashMultiMap<B> mm_;
 };
 
@@ -439,47 +458,40 @@ class SemiAntiJoinOp final : public Op<B> {
         anti_(n.type == plan::OpType::kAntiJoin),
         left_(std::move(left)),
         right_(std::move(right)),
-        build_bound_(build_bound) {
-    for (size_t k = 0; k < n.left_keys.size(); ++k) {
-      need_raw_.push_back(JoinKeyNeedsRaw(left_->schema(), left_->dicts(),
-                                          right_->schema(), right_->dicts(),
-                                          n.left_keys[k], n.right_keys[k]));
+        build_bound_(build_bound),
+        keys_(*right_, n.right_keys, *left_, n.left_keys) {
+    if (n.predicate != nullptr) {
+      // The residual predicate sees left ++ right; without one the two
+      // sides may share field names.
+      joint_ = left_->schema().Concat(right_->schema());
+      pred_ = BindExpr(n.predicate, joint_);
+      merged_ = Record<B>(&joint_);
     }
   }
 
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
-    DictVec build_dicts = right_->dicts();
-    for (size_t k = 0; k < node_->right_keys.size(); ++k) {
-      if (need_raw_[k]) {
-        int i = right_->schema().IndexOf(node_->right_keys[k]);
-        build_dicts[static_cast<size_t>(i)] = nullptr;
-      }
-    }
-    mm_.Init(b, right_->schema(), build_dicts, node_->right_keys,
+    mm_.Init(b, right_->schema(), keys_.build_dicts(), keys_.build_slots(),
              build_bound_, this->ctx_->join_layout);
     auto ldl = left_->Prepare();
     auto rdl = right_->Prepare();
     return [this, ldl, rdl](const typename Op<B>::Callback& cb) {
       B& b = *this->ctx_->b;
-      rdl([&](const Record<B>& rec) {
-        mm_.Insert(b, NormalizeKeys(b, rec, node_->right_keys, need_raw_));
-      });
+      rdl([&](const Record<B>& rec) { mm_.Insert(b, keys_.Build(b, rec)); });
+      const int nl = left_->schema().size();
       ldl([&](const Record<B>& lrec) {
         auto found = b.NewCell(typename B::Bool(false));
-        mm_.Lookup(b, ProbeKey(b, lrec, node_->left_keys, need_raw_),
-                   [&](const Record<B>& rrec) {
-                     if (node_->predicate != nullptr) {
-                       Record<B> merged = Record<B>::Concat(lrec, rrec);
-                       b.If(this->EvalBool(node_->predicate, merged), [&] {
-                         b.Set(found, typename B::Bool(true));
-                       });
-                     } else {
-                       b.Set(found, typename B::Bool(true));
-                     }
-                   });
-        typename B::Bool pass =
-            anti_ ? !b.Get(found) : b.Get(found);
+        if (node_->predicate != nullptr) merged_.SetFrom(0, lrec);
+        mm_.Lookup(b, keys_.Probe(b, lrec), [&](const Record<B>& rrec) {
+          if (node_->predicate != nullptr) {
+            merged_.SetFrom(nl, rrec);
+            b.If(this->EvalBool(pred_, merged_),
+                 [&] { b.Set(found, typename B::Bool(true)); });
+          } else {
+            b.Set(found, typename B::Bool(true));
+          }
+        });
+        typename B::Bool pass = anti_ ? !b.Get(found) : b.Get(found);
         b.If(pass, [&] { cb(lrec); });
       });
     };
@@ -491,7 +503,10 @@ class SemiAntiJoinOp final : public Op<B> {
   OpPtr<B> left_;
   OpPtr<B> right_;
   int64_t build_bound_;
-  std::vector<bool> need_raw_;
+  JoinKeys<B> keys_;
+  schema::Schema joint_;  // left ++ right, only with a predicate
+  BoundExpr pred_;
+  Record<B> merged_;
   LB2HashMultiMap<B> mm_;
 };
 
@@ -505,82 +520,83 @@ class LeftCountJoinOp final : public Op<B> {
   LeftCountJoinOp(QueryCtx<B>* ctx, const plan::PlanNode& n, OpPtr<B> left,
                   OpPtr<B> right, int64_t build_bound)
       : Op<B>(ctx, left->schema(), left->dicts()),
-        node_(&n),
         left_(std::move(left)),
         right_(std::move(right)),
-        build_bound_(build_bound) {
+        build_bound_(build_bound),
+        left_slots_(SlotsOf(left_->schema(), n.left_keys)),
+        right_slots_(SlotsOf(right_->schema(), n.right_keys)),
+        val_schema_{{n.count_name, schema::FieldKind::kInt64}} {
     this->schema_.Add({n.count_name, schema::FieldKind::kInt64});
     this->dicts_.push_back(nullptr);
+    // Key schema: the right key fields; value: one i64 counter. A probe
+    // key is a record of the same layout, filled from the left keys.
+    for (int s : right_slots_) {
+      key_schema_.Add(right_->schema().field(s));
+      key_dicts_.push_back(right_->dicts()[static_cast<size_t>(s)]);
+    }
+    key_ = Record<B>(&key_schema_);
+    init_ = Record<B>(&val_schema_);
+    next_ = Record<B>(&val_schema_);
+    out_ = Record<B>(&this->schema_);
   }
 
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
-    // Key schema: the right key fields; value: one i64 counter.
-    schema::Schema key_schema;
-    DictVec key_dicts;
-    for (const auto& rk : node_->right_keys) {
-      key_schema.Add(right_->schema().Get(rk));
-      key_dicts.push_back(
-          right_->dicts()[static_cast<size_t>(right_->schema().IndexOf(rk))]);
-    }
-    schema::Schema val_schema{{node_->count_name, schema::FieldKind::kInt64}};
-    hm_.Init(b, key_schema, key_dicts, val_schema, {nullptr}, build_bound_);
+    hm_.Init(b, key_schema_, key_dicts_, val_schema_, {nullptr}, build_bound_);
+    init_.set(0, Value<B>::I64(typename B::I64(0)));
     auto ldl = left_->Prepare();
     auto rdl = right_->Prepare();
-    return [this, ldl, rdl,
-            val_schema](const typename Op<B>::Callback& cb) {
+    return [this, ldl, rdl](const typename Op<B>::Callback& cb) {
       B& b = *this->ctx_->b;
       rdl([&](const Record<B>& rrec) {
-        Record<B> key = rrec.Slice(node_->right_keys);
-        Record<B> init;
-        init.Add(val_schema.field(0), Value<B>::I64(typename B::I64(0)));
-        hm_.Update(b, key, init, [&](const Record<B>& cur) {
-          Record<B> next;
-          next.Add(val_schema.field(0),
-                   Value<B>::I64(AsI64(b, cur.value(0)) +
-                                 typename B::I64(1)));
-          return next;
-        });
+        for (size_t k = 0; k < right_slots_.size(); ++k) {
+          key_.set(static_cast<int>(k), rrec.value(right_slots_[k]));
+        }
+        hm_.Update(b, key_, init_,
+                   [&](const Record<B>& cur) -> const Record<B>& {
+                     next_.set(0, Value<B>::I64(AsI64(b, cur.value(0)) +
+                                                typename B::I64(1)));
+                     return next_;
+                   });
       });
+      const int last = this->schema_.size() - 1;
       ldl([&](const Record<B>& lrec) {
         auto count = b.NewCell(typename B::I64(0));
-        Record<B> key;
-        for (size_t k = 0; k < node_->left_keys.size(); ++k) {
-          key.Add({"k" + std::to_string(k), schema::FieldKind::kInt64},
-                  lrec.Get(node_->left_keys[k]));
+        for (size_t k = 0; k < left_slots_.size(); ++k) {
+          key_.set(static_cast<int>(k), lrec.value(left_slots_[k]));
         }
         hm_.Find(
-            b, key,
+            b, key_,
             [&](const Record<B>& vals) {
               b.Set(count, AsI64(b, vals.value(0)));
             },
             [] {});
-        Record<B> out = lrec;
-        out.Add(this->schema_.field(this->schema_.size() - 1),
-                Value<B>::I64(b.Get(count)));
-        cb(out);
+        out_.SetFrom(0, lrec);
+        out_.set(last, Value<B>::I64(b.Get(count)));
+        cb(out_);
       });
     };
   }
 
  private:
-  const plan::PlanNode* node_;
   OpPtr<B> left_;
   OpPtr<B> right_;
   int64_t build_bound_;
+  std::vector<int> left_slots_;
+  std::vector<int> right_slots_;
+  schema::Schema key_schema_;
+  DictVec key_dicts_;
+  schema::Schema val_schema_;
+  Record<B> key_;
+  Record<B> init_;
+  Record<B> next_;
+  Record<B> out_;
   LB2HashMap<B> hm_;
 };
 
 // ---------------------------------------------------------------------------
 // Aggregation
 // ---------------------------------------------------------------------------
-
-/// Aggregate result kind (mirrors plan validation).
-inline schema::FieldKind AggKindOf(const plan::AggSpec& a,
-                                   const schema::Schema& input) {
-  if (a.kind == plan::AggKind::kCountStar) return schema::FieldKind::kInt64;
-  return InferKind(a.expr, input);
-}
 
 template <typename B>
 Value<B> AggInitValue(B& b, const plan::AggSpec& a, schema::FieldKind kind) {
@@ -678,6 +694,19 @@ inline int MorselSeedStride(const schema::Schema& key_schema,
   return stride + val_schema.size();
 }
 
+/// Aggregate inputs bound against the aggregation's input schema, in
+/// `aggs` order; COUNT(*) has none (an empty BoundExpr).
+inline std::vector<BoundExpr> BindAggInputs(
+    const std::vector<plan::AggSpec>& aggs, const schema::Schema& input) {
+  std::vector<BoundExpr> out(aggs.size());
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].kind != plan::AggKind::kCountStar) {
+      out[a] = BindExpr(aggs[a].expr, input);
+    }
+  }
+  return out;
+}
+
 template <typename B>
 class GroupAggOp final : public Op<B> {
  public:
@@ -688,30 +717,47 @@ class GroupAggOp final : public Op<B> {
         node_(&n),
         child_(std::move(child)),
         capacity_(capacity),
-        spine_(spine) {}
+        spine_(spine),
+        groups_(BindExprs(n.group_exprs, child_->schema())),
+        inputs_(BindAggInputs(n.aggs, child_->schema())) {
+    const int ng = static_cast<int>(n.group_exprs.size());
+    for (int i = 0; i < ng; ++i) {
+      key_schema_.Add(this->schema_.field(i));
+      key_dicts_.push_back(this->dicts_[static_cast<size_t>(i)]);
+    }
+    for (int i = ng; i < this->schema_.size(); ++i) {
+      val_schema_.Add(this->schema_.field(i));
+      kinds_.push_back(this->schema_.field(i).kind);
+    }
+    key_ = Record<B>(&key_schema_);
+    init_ = Record<B>(&val_schema_);
+    next_ = Record<B>(&val_schema_);
+    out_ = Record<B>(&this->schema_);
+    row_vals_.resize(n.aggs.size());
+  }
 
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
-    int ng = static_cast<int>(node_->group_exprs.size());
-    schema::Schema key_schema, val_schema;
-    DictVec key_dicts, val_dicts;
-    for (int i = 0; i < ng; ++i) {
-      key_schema.Add(this->schema_.field(i));
-      key_dicts.push_back(this->dicts_[static_cast<size_t>(i)]);
-    }
-    for (int i = ng; i < this->schema_.size(); ++i) {
-      val_schema.Add(this->schema_.field(i));
-      val_dicts.push_back(nullptr);
-    }
     bool par = this->ctx_->IsPar(spine_);
     int lanes = par ? this->ctx_->num_threads : 1;
-    hm_.Init(b, key_schema, key_dicts, val_schema, val_dicts, capacity_,
-             lanes);
+    hm_.Init(b, key_schema_, key_dicts_, val_schema_,
+             DictVec(static_cast<size_t>(val_schema_.size()), nullptr),
+             capacity_, lanes);
+    // Per-aggregate constants, computed once: the init row, and the
+    // (ignored) input of each COUNT(*).
+    for (size_t a = 0; a < node_->aggs.size(); ++a) {
+      init_.set(static_cast<int>(a),
+                AggInitValue(b, node_->aggs[a], kinds_[a]));
+      if (node_->aggs[a].kind == plan::AggKind::kCountStar) {
+        row_vals_[a] = Value<B>::I64(typename B::I64(0));
+      }
+    }
     auto dl = child_->Prepare();
-    return [this, dl, ng, key_schema, key_dicts, val_schema,
-            par](const typename Op<B>::Callback& cb) {
+    return [this, dl, par](const typename Op<B>::Callback& cb) {
       B& b = *this->ctx_->b;
       using I64 = typename B::I64;
+      const int ng = key_schema_.size();
+      const size_t na = node_->aggs.size();
       if constexpr (B::kIsStaged) {
         // Seed import for a compiled suffix run: fold the interpreted
         // prefix's partial groups into lane 0 before any morsel is claimed.
@@ -721,123 +767,79 @@ class GroupAggOp final : public Op<B> {
         // are race-free, and first-sight merge-with-init equals the seed
         // value exactly for every AggKind.
         if (spine_) {
-          const int stride = MorselSeedStride(key_schema, key_dicts,
-                                              val_schema);
+          const int stride = MorselSeedStride(key_schema_, key_dicts_,
+                                              val_schema_);
           b.For(I64(0), b.SeedRows(), [&](I64 r) {
             int slot = 0;
-            Record<B> skey;
-            for (int i = 0; i < key_schema.size(); ++i) {
-              const rt::Dictionary* dict = key_dicts[static_cast<size_t>(i)];
+            for (int i = 0; i < ng; ++i) {
+              const rt::Dictionary* dict = key_dicts_[static_cast<size_t>(i)];
               using K = schema::FieldKind;
-              switch (key_schema.field(i).kind) {
+              switch (key_schema_.field(i).kind) {
                 case K::kString:
                   if (dict != nullptr) {
-                    skey.Add(key_schema.field(i),
-                             Value<B>::DictStr(b.SeedSlot(r, stride, slot++),
-                                               dict));
+                    key_.set(i, Value<B>::DictStr(
+                                    b.SeedSlot(r, stride, slot++), dict));
                   } else {
                     auto p = b.BitsPtr(b.SeedSlot(r, stride, slot++));
                     auto n = b.CastI32(b.SeedSlot(r, stride, slot++));
-                    skey.Add(key_schema.field(i),
-                             Value<B>::Str(typename B::Str{p, n}));
+                    key_.set(i, Value<B>::Str(typename B::Str{p, n}));
                   }
                   break;
                 case K::kDouble:
-                  skey.Add(key_schema.field(i),
-                           Value<B>::F64(
-                               b.BitsF64(b.SeedSlot(r, stride, slot++))));
+                  key_.set(i, Value<B>::F64(
+                                  b.BitsF64(b.SeedSlot(r, stride, slot++))));
                   break;
                 default:
-                  skey.Add(key_schema.field(i),
-                           Value<B>::I64(b.SeedSlot(r, stride, slot++)));
+                  key_.set(i, Value<B>::I64(b.SeedSlot(r, stride, slot++)));
                   break;
               }
             }
-            Record<B> init;
-            std::vector<Value<B>> seed_vals;
-            for (size_t a = 0; a < node_->aggs.size(); ++a) {
-              schema::FieldKind k = val_schema.field(static_cast<int>(a)).kind;
-              init.Add(val_schema.field(static_cast<int>(a)),
-                       AggInitValue(b, node_->aggs[a], k));
-              if (k == schema::FieldKind::kDouble) {
-                seed_vals.push_back(Value<B>::F64(
-                    b.BitsF64(b.SeedSlot(r, stride, slot++))));
+            Record<B> seed(&val_schema_);
+            for (size_t a = 0; a < na; ++a) {
+              int i = static_cast<int>(a);
+              if (kinds_[a] == schema::FieldKind::kDouble) {
+                seed.set(i, Value<B>::F64(
+                                b.BitsF64(b.SeedSlot(r, stride, slot++))));
               } else {
-                seed_vals.push_back(
-                    Value<B>::I64(b.SeedSlot(r, stride, slot++)));
+                seed.set(i, Value<B>::I64(b.SeedSlot(r, stride, slot++)));
               }
             }
-            hm_.Update(b, I64(0), skey, init, [&](const Record<B>& cur) {
-              Record<B> next;
-              for (size_t a = 0; a < node_->aggs.size(); ++a) {
-                next.Add(val_schema.field(static_cast<int>(a)),
-                         AggMerge(b, node_->aggs[a],
-                                  val_schema.field(static_cast<int>(a)).kind,
-                                  cur.value(static_cast<int>(a)),
-                                  seed_vals[a]));
-              }
-              return next;
-            });
+            hm_.Update(b, I64(0), key_, init_,
+                       [&](const Record<B>& cur) -> const Record<B>& {
+                         return Merge(b, cur, seed);
+                       });
           });
         }
       }
       dl([&](const Record<B>& rec) {
-        Record<B> key;
         for (int i = 0; i < ng; ++i) {
-          key.Add(this->schema_.field(i), this->Eval(node_->group_exprs
-                                                         [static_cast<size_t>(
-                                                             i)],
-                                                     rec));
+          key_.set(i, this->Eval(groups_[static_cast<size_t>(i)], rec));
         }
         // Evaluate agg inputs once per row, outside the probe loop.
-        std::vector<Value<B>> row_vals;
-        std::vector<schema::FieldKind> kinds;
-        Record<B> init;
-        for (size_t a = 0; a < node_->aggs.size(); ++a) {
-          const auto& spec = node_->aggs[a];
-          schema::FieldKind k = val_schema.field(static_cast<int>(a)).kind;
-          kinds.push_back(k);
-          if (spec.kind == plan::AggKind::kCountStar) {
-            row_vals.push_back(Value<B>::I64(typename B::I64(0)));
-          } else {
-            row_vals.push_back(this->Eval(spec.expr, rec));
+        for (size_t a = 0; a < na; ++a) {
+          if (node_->aggs[a].kind != plan::AggKind::kCountStar) {
+            row_vals_[a] = this->Eval(inputs_[a], rec);
           }
-          init.Add(val_schema.field(static_cast<int>(a)),
-                   AggInitValue(b, spec, k));
         }
         I64 lane = par ? b.CurTid() : I64(0);
-        hm_.Update(b, lane, key, init, [&](const Record<B>& cur) {
-          Record<B> next;
-          for (size_t a = 0; a < node_->aggs.size(); ++a) {
-            next.Add(val_schema.field(static_cast<int>(a)),
-                     AggStep(b, node_->aggs[a], kinds[a],
-                             cur.value(static_cast<int>(a)), row_vals[a]));
-          }
-          return next;
-        });
+        hm_.Update(b, lane, key_, init_,
+                   [&](const Record<B>& cur) -> const Record<B>& {
+                     for (size_t a = 0; a < na; ++a) {
+                       next_.set(static_cast<int>(a),
+                                 AggStep(b, node_->aggs[a], kinds_[a],
+                                         cur.value(static_cast<int>(a)),
+                                         row_vals_[a]));
+                     }
+                     return next_;
+                   });
       });
       if (par) {
         // Fold per-thread partial aggregates into lane 0 (paper §4.5).
-        Record<B> init;
-        for (size_t a = 0; a < node_->aggs.size(); ++a) {
-          init.Add(val_schema.field(static_cast<int>(a)),
-                   AggInitValue(b, node_->aggs[a],
-                                val_schema.field(static_cast<int>(a)).kind));
-        }
         hm_.MergeLanes(
             b,
-            [&](const Record<B>& cur, const Record<B>& other) {
-              Record<B> next;
-              for (size_t a = 0; a < node_->aggs.size(); ++a) {
-                next.Add(val_schema.field(static_cast<int>(a)),
-                         AggMerge(b, node_->aggs[a],
-                                  val_schema.field(static_cast<int>(a)).kind,
-                                  cur.value(static_cast<int>(a)),
-                                  other.value(static_cast<int>(a))));
-              }
-              return next;
-            },
-            init);
+            [&](const Record<B>& cur, const Record<B>& other)
+                -> const Record<B>& { return Merge(b, cur, other); },
+            init_);
       }
       if constexpr (!B::kIsStaged) {
         // Seed export for an interpreted prefix that stopped at a morsel
@@ -850,7 +852,7 @@ class GroupAggOp final : public Op<B> {
             hm_.ForeachLane(b, I64(0), [&](const Record<B>& krec,
                                            const Record<B>& vrec) {
               for (int i = 0; i < krec.size(); ++i) {
-                Value<B> v = krec.value(i);
+                const Value<B>& v = krec.value(i);
                 if (v.is_str() && v.str().is_dict) {
                   run->seed.push_back(v.str().code);
                 } else if (v.is_str()) {
@@ -868,7 +870,7 @@ class GroupAggOp final : public Op<B> {
                 }
               }
               for (int i = 0; i < vrec.size(); ++i) {
-                Value<B> v = vrec.value(i);
+                const Value<B>& v = vrec.value(i);
                 if (v.is_f64()) {
                   run->seed.push_back(b.F64Bits(v.f64()));
                 } else {
@@ -881,15 +883,42 @@ class GroupAggOp final : public Op<B> {
           }
         }
       }
-      hm_.Foreach(b, cb);
+      // Emit lane 0's groups in insertion order: key ++ aggregates.
+      hm_.ForeachLane(b, I64(0),
+                      [&](const Record<B>& k, const Record<B>& v) {
+                        out_.SetFrom(0, k);
+                        out_.SetFrom(ng, v);
+                        cb(out_);
+                      });
     };
   }
 
  private:
+  /// next_ = the per-aggregate merge of two partial value rows.
+  const Record<B>& Merge(B& b, const Record<B>& cur, const Record<B>& other) {
+    for (size_t a = 0; a < node_->aggs.size(); ++a) {
+      int i = static_cast<int>(a);
+      next_.set(i, AggMerge(b, node_->aggs[a], kinds_[a], cur.value(i),
+                            other.value(i)));
+    }
+    return next_;
+  }
+
   const plan::PlanNode* node_;
   OpPtr<B> child_;
   int64_t capacity_;
   bool spine_;
+  std::vector<BoundExpr> groups_;
+  std::vector<BoundExpr> inputs_;  // per aggregate; empty for COUNT(*)
+  schema::Schema key_schema_;
+  schema::Schema val_schema_;
+  DictVec key_dicts_;
+  std::vector<schema::FieldKind> kinds_;  // per aggregate
+  Record<B> key_;
+  Record<B> init_;
+  Record<B> next_;
+  Record<B> out_;
+  std::vector<Value<B>> row_vals_;  // per aggregate, refilled per row
   LB2HashMap<B> hm_;
 };
 
@@ -903,7 +932,9 @@ class ScalarAggOp final : public Op<B> {
                                           nullptr)),
         node_(&n),
         child_(std::move(child)),
-        spine_(spine) {}
+        spine_(spine),
+        inputs_(BindAggInputs(n.aggs, child_->schema())),
+        out_(&this->schema_) {}
 
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
@@ -960,7 +991,7 @@ class ScalarAggOp final : public Op<B> {
           schema::FieldKind k = this->schema_.field(i).kind;
           Value<B> row_val = Value<B>::I64(I64(0));
           if (spec.kind != plan::AggKind::kCountStar) {
-            row_val = this->Eval(spec.expr, rec);
+            row_val = this->Eval(inputs_[static_cast<size_t>(i)], rec);
           }
           Value<B> next = AggStep(b, spec, k, LaneValue(b, i, lane), row_val);
           StoreLane(b, i, lane, next);
@@ -997,12 +1028,10 @@ class ScalarAggOp final : public Op<B> {
           }
         }
       }
-      Record<B> out;
       for (int i = 0; i < this->schema_.size(); ++i) {
-        out.Add(this->schema_.field(i),
-                LaneValue(b, i, typename B::I64(0)));
+        out_.set(i, LaneValue(b, i, typename B::I64(0)));
       }
-      cb(out);
+      cb(out_);
     };
   }
 
@@ -1025,6 +1054,8 @@ class ScalarAggOp final : public Op<B> {
   const plan::PlanNode* node_;
   OpPtr<B> child_;
   bool spine_;
+  std::vector<BoundExpr> inputs_;  // per aggregate; empty for COUNT(*)
+  Record<B> out_;
   std::vector<typename B::template Arr<int64_t>> i64_acc_;
   std::vector<typename B::template Arr<double>> f64_acc_;
 };
@@ -1046,6 +1077,7 @@ class SortOp final : public Op<B> {
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
     buf_.Init(b, this->schema_, this->dicts_, typename B::I64(bound_));
+    row_ = Record<B>(&buf_.schema());
     perm_ = b.template AllocArr<int64_t>(typename B::I64(bound_));
     count_ = b.NewCell(typename B::I64(0));
     auto dl = child_->Prepare();
@@ -1060,7 +1092,8 @@ class SortOp final : public Op<B> {
             [&](typename B::I64 i) { b.ArrSet(perm_, i, i); });
       Sorter<B>::SortPerm(b, buf_, perm_, n, node_->sort_keys);
       b.For(typename B::I64(0), n, [&](typename B::I64 i) {
-        cb(buf_.Read(b, b.ArrGet(perm_, i)));
+        buf_.Read(b, b.ArrGet(perm_, i), &row_);
+        cb(row_);
       });
     };
   }
@@ -1070,6 +1103,7 @@ class SortOp final : public Op<B> {
   OpPtr<B> child_;
   int64_t bound_;
   ColumnarBuffer<B> buf_;
+  Record<B> row_;
   typename B::template Arr<int64_t> perm_;
   typename B::template Cell<int64_t> count_;
 };

@@ -131,12 +131,13 @@ class VecScanFilterOp final : public Op<B> {
       : Op<B>(ctx, std::move(schema), std::move(dicts)),
         site_(std::move(site)),
         scan_(site_.scan.get()),
-        spine_(spine) {}
+        spine_(spine),
+        residual_(BindExprs(site_.residual, this->schema_)) {}
 
   typename Op<B>::DataLoop Prepare() override {
     B& b = *this->ctx_->b;
     using I64 = typename B::I64;
-    reader_.Bind(b, scan_->table, this->schema_, this->dicts_);
+    reader_.Bind(b, scan_->table, &this->schema_, this->dicts_);
     // Kernel columns are bound raw (never dict-coded: numeric kinds only).
     kacc_.clear();
     for (const auto& e : site_.kernel) {
@@ -163,17 +164,16 @@ class VecScanFilterOp final : public Op<B> {
           }
           b.For(I64(0), b.Get(cnt), [&](I64 j) {
             I64 row = base + b.I32ToI64(b.ArrGet(sel_, off + j));
-            Record<B> rec = reader_.RecordAt(b, row);
-            if (site_.residual.empty()) {
+            const Record<B>& rec = reader_.RecordAt(b, row);
+            if (residual_.empty()) {
               cb(rec);
             } else {
               // Non-short-circuit conjunction: expression evaluation has no
               // side effects or traps, and one branch per row beats one
               // branch per conjunct.
-              typename B::Bool pass =
-                  this->EvalBool(site_.residual[0], rec);
-              for (size_t r = 1; r < site_.residual.size(); ++r) {
-                pass = pass && this->EvalBool(site_.residual[r], rec);
+              typename B::Bool pass = this->EvalBool(residual_[0], rec);
+              for (size_t r = 1; r < residual_.size(); ++r) {
+                pass = pass && this->EvalBool(residual_[r], rec);
               }
               b.If(pass, [&] { cb(rec); });
             }
@@ -234,6 +234,7 @@ class VecScanFilterOp final : public Op<B> {
   VecSiteInfo site_;
   const plan::PlanNode* scan_;
   bool spine_;
+  std::vector<BoundExpr> residual_;  // site_.residual, bound to the scan
   TableReader<B> reader_;
   std::vector<typename B::ColAcc> kacc_;
   typename B::template Arr<uint8_t> flags_;

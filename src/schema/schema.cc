@@ -28,12 +28,6 @@ Schema Schema::Concat(const Schema& other) const {
   return out;
 }
 
-Schema Schema::Select(const std::vector<std::string>& names) const {
-  Schema out;
-  for (const auto& n : names) out.Add(Get(n));
-  return out;
-}
-
 std::string Schema::ToString() const {
   std::string out = "[";
   for (size_t i = 0; i < fields_.size(); ++i) {

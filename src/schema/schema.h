@@ -37,9 +37,6 @@ class Schema {
   /// Schema with this schema's fields followed by `other`'s.
   Schema Concat(const Schema& other) const;
 
-  /// Schema restricted to `names` (in the given order).
-  Schema Select(const std::vector<std::string>& names) const;
-
   /// "name:kind, name:kind, ..." — for error messages and tests.
   std::string ToString() const;
 

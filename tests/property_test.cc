@@ -520,27 +520,21 @@ TEST_P(HashMapModelTest, MatchesStdUnorderedMap) {
   hm.Init(b, key_schema, {nullptr}, val_schema, {nullptr, nullptr}, distinct,
           lanes);
 
+  using Rec = engine::Record<engine::InterpBackend>;
+  using Val = engine::Value<engine::InterpBackend>;
+  Rec key(&key_schema), init(&val_schema), next(&val_schema);
+  init.set(0, Val::I64(0));
+  init.set(1, Val::I64(0));
   std::unordered_map<int64_t, std::pair<int64_t, int64_t>> model;
   int n_ops = 2000;
   for (int i = 0; i < n_ops; ++i) {
     int64_t k = static_cast<int64_t>(rng() % static_cast<unsigned>(distinct));
     int64_t v = static_cast<int64_t>(rng() % 1000);
     int lane = static_cast<int>(rng() % static_cast<unsigned>(lanes));
-    engine::Record<engine::InterpBackend> key, init;
-    key.Add({"k", schema::FieldKind::kInt64},
-            engine::Value<engine::InterpBackend>::I64(k));
-    init.Add({"sum", schema::FieldKind::kInt64},
-             engine::Value<engine::InterpBackend>::I64(0));
-    init.Add({"cnt", schema::FieldKind::kInt64},
-             engine::Value<engine::InterpBackend>::I64(0));
-    hm.Update(b, lane, key, init, [&](const auto& cur) {
-      engine::Record<engine::InterpBackend> next;
-      next.Add({"sum", schema::FieldKind::kInt64},
-               engine::Value<engine::InterpBackend>::I64(
-                   cur.value(0).i64() + v));
-      next.Add({"cnt", schema::FieldKind::kInt64},
-               engine::Value<engine::InterpBackend>::I64(
-                   cur.value(1).i64() + 1));
+    key.set(0, Val::I64(k));
+    hm.Update(b, lane, key, init, [&](const Rec& cur) -> const Rec& {
+      next.set(0, Val::I64(cur.value(0).i64() + v));
+      next.set(1, Val::I64(cur.value(1).i64() + 1));
       return next;
     });
     auto& m = model[k];
@@ -549,28 +543,18 @@ TEST_P(HashMapModelTest, MatchesStdUnorderedMap) {
   }
 
   // Merge lanes (sum both fields) and compare with the model.
-  engine::Record<engine::InterpBackend> init;
-  init.Add({"sum", schema::FieldKind::kInt64},
-           engine::Value<engine::InterpBackend>::I64(0));
-  init.Add({"cnt", schema::FieldKind::kInt64},
-           engine::Value<engine::InterpBackend>::I64(0));
   hm.MergeLanes(
       b,
-      [&](const auto& cur, const auto& other) {
-        engine::Record<engine::InterpBackend> next;
-        next.Add({"sum", schema::FieldKind::kInt64},
-                 engine::Value<engine::InterpBackend>::I64(
-                     cur.value(0).i64() + other.value(0).i64()));
-        next.Add({"cnt", schema::FieldKind::kInt64},
-                 engine::Value<engine::InterpBackend>::I64(
-                     cur.value(1).i64() + other.value(1).i64()));
+      [&](const Rec& cur, const Rec& other) -> const Rec& {
+        next.set(0, Val::I64(cur.value(0).i64() + other.value(0).i64()));
+        next.set(1, Val::I64(cur.value(1).i64() + other.value(1).i64()));
         return next;
       },
       init);
 
   std::unordered_map<int64_t, std::pair<int64_t, int64_t>> got;
-  hm.Foreach(b, [&](const auto& rec) {
-    got[rec.value(0).i64()] = {rec.value(1).i64(), rec.value(2).i64()};
+  hm.ForeachLane(b, 0, [&](const Rec& k, const Rec& v) {
+    got[k.value(0).i64()] = {v.value(0).i64(), v.value(1).i64()};
   });
   ASSERT_EQ(got.size(), model.size());
   for (const auto& [k, v] : model) {
